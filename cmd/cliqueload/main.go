@@ -399,6 +399,15 @@ func writeServiceSection(o netOptions, st *service.StatsReply, mode string, repo
 	fmt.Printf("merged service section into %s\n", o.protocolJSON)
 }
 
+// latencyCell renders one latency column; a percentile that landed on an
+// open-loop shed (loadgen.MissLatency) reads "miss".
+func latencyCell(v float64) string {
+	if v >= ms(loadgen.MissLatency) {
+		return "miss"
+	}
+	return fmt.Sprintf("%.1fms", v)
+}
+
 // formatTable renders the fixed-width summary table shared by stdout and
 // -out.
 func formatTable(reports []report) string {
@@ -406,10 +415,10 @@ func formatTable(reports []report) string {
 	fmt.Fprintf(&b, "%-4s %-8s %-9s %-7s %-6s %-8s %10s %12s %9s %9s %9s %9s\n",
 		"k", "streams", "ops", "failed", "shed", "retries", "wall", "ops/sec", "p50", "p90", "p99", "p999")
 	for _, rep := range reports {
-		fmt.Fprintf(&b, "%-4d %-8d %-9d %-7d %-6d %-8d %10s %12.2f %8.1fms %8.1fms %8.1fms %8.1fms",
+		fmt.Fprintf(&b, "%-4d %-8d %-9d %-7d %-6d %-8d %10s %12.2f %10s %10s %10s %10s",
 			rep.Concurrency, rep.Streams, rep.TotalOps, rep.FailedOps, rep.SheddedOps, rep.Retries,
 			time.Duration(rep.WallMs*float64(time.Millisecond)).Round(time.Millisecond),
-			rep.OpsPerSec, rep.P50Ms, rep.P90Ms, rep.P99Ms, rep.P999Ms)
+			rep.OpsPerSec, latencyCell(rep.P50Ms), latencyCell(rep.P90Ms), latencyCell(rep.P99Ms), latencyCell(rep.P999Ms))
 		if rep.SpeedupVsSerial > 0 {
 			fmt.Fprintf(&b, "  (%0.2fx vs k=1)", rep.SpeedupVsSerial)
 		}

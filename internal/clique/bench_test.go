@@ -87,9 +87,9 @@ func BenchmarkAllToAllRunRounds(b *testing.B) {
 			rounds := b.N
 			b.ReportAllocs()
 			b.ResetTimer()
-			err = nw.RunRounds(func(nd *Node, round int, inbox Inbox) (bool, error) {
-				if round > 0 && inbox.Count() != nd.N() {
-					return true, fmt.Errorf("node %d received %d packets, want %d", nd.ID(), inbox.Count(), nd.N())
+			err = nw.RunRounds(func(nd *Node, round int, inbox FlatInbox) (bool, error) {
+				if got := flatCount(inbox); round > 0 && got != nd.N() {
+					return true, fmt.Errorf("node %d received %d packets, want %d", nd.ID(), got, nd.N())
 				}
 				if round == rounds {
 					return true, nil

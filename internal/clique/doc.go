@@ -28,7 +28,9 @@
 // no lock, and no lock is ever contended while nodes compute. Per-edge and
 // per-node loads are accounted in dense scratch slices (O(1) per packet, no
 // hashing), payloads are copied into per-receiver arenas reused round over
-// round, and sender-side buffers (for example the Mux's tagged packets) are
+// round — as an Inbox indexed by sender (Exchange) or as a FlatInbox of
+// [from, len, payload...] records written with one append per packet
+// (ExchangeFlat, and every RunRounds step) — and sender-side buffers (for example the Mux's tagged packets) are
 // recycled through a sync.Pool, so a steady-state round allocates nothing
 // beyond the generation channel.
 //

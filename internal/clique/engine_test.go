@@ -341,17 +341,15 @@ func TestRunRoundsAllToAll(t *testing.T) {
 			t.Fatal(err)
 		}
 		digests := make([]uint64, n)
-		err = nw.RunRounds(func(nd *Node, round int, inbox Inbox) (bool, error) {
+		err = nw.RunRounds(func(nd *Node, round int, inbox FlatInbox) (bool, error) {
 			h := fnv.New64a()
 			if round > 0 {
 				count := 0
-				for f := 0; f < n; f++ {
-					for _, p := range inbox.From(f) {
-						if int(p[0]) != f || int(p[1]) != round-1 {
-							return true, fmt.Errorf("node %d round %d: bad packet %v from %d", nd.ID(), round, p, f)
-						}
-						count++
+				for f, p := range inbox.Records() {
+					if int(p[0]) != f || int(p[1]) != round-1 {
+						return true, fmt.Errorf("node %d round %d: bad packet %v from %d", nd.ID(), round, p, f)
 					}
+					count++
 				}
 				if count != n {
 					return true, fmt.Errorf("node %d round %d: %d packets, want %d", nd.ID(), round, count, n)
@@ -395,7 +393,7 @@ func TestRunRoundsPanicAndError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = nw.RunRounds(func(nd *Node, round int, inbox Inbox) (bool, error) {
+	err = nw.RunRounds(func(nd *Node, round int, inbox FlatInbox) (bool, error) {
 		if round == 2 {
 			switch nd.ID() {
 			case 9:
@@ -421,8 +419,8 @@ func TestRunRoundsStaggeredDeparture(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]int, n)
-	err = nw.RunRounds(func(nd *Node, round int, inbox Inbox) (bool, error) {
-		got[nd.ID()] += inbox.Count()
+	err = nw.RunRounds(func(nd *Node, round int, inbox FlatInbox) (bool, error) {
+		got[nd.ID()] += flatCount(inbox)
 		// Everyone pings node 1 every round it participates in; node i
 		// departs after its step in round i (node 0 immediately).
 		nd.Send(1, Packet{Word(nd.ID())})
@@ -450,7 +448,7 @@ func TestRunRoundsStaggeredDeparture(t *testing.T) {
 		t.Fatalf("dropped = %d, want %d", m.DroppedToDeparted, want)
 	}
 	// A second run on the same Network starts from a clean departure state.
-	if err := nw.RunRounds(func(nd *Node, round int, inbox Inbox) (bool, error) { return true, nil }); err != nil {
+	if err := nw.RunRounds(func(nd *Node, round int, inbox FlatInbox) (bool, error) { return true, nil }); err != nil {
 		t.Fatalf("second run on the same network: %v", err)
 	}
 	if m := nw.Metrics(); m.DroppedToDeparted != 0 {
@@ -466,7 +464,7 @@ func TestRunRoundsExchangeForbidden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = nw.RunRounds(func(nd *Node, round int, inbox Inbox) (bool, error) {
+	err = nw.RunRounds(func(nd *Node, round int, inbox FlatInbox) (bool, error) {
 		_, err := nd.Exchange()
 		if err == nil {
 			return true, errors.New("Exchange should fail in RunRounds mode")
@@ -540,5 +538,225 @@ func TestStrictBudgetWakesStragglers(t *testing.T) {
 	})
 	if !errors.Is(err, ErrBandwidthExceeded) {
 		t.Fatalf("want ErrBandwidthExceeded, got %v", err)
+	}
+}
+
+// flatCount returns the number of records (physical packets) in a FlatInbox.
+func flatCount(in FlatInbox) int {
+	count := 0
+	for range in.Records() {
+		count++
+	}
+	return count
+}
+
+// TestRunRoundsFlatOrder: a step's FlatInbox lists records in ascending
+// sender order and, within one sender, in send order, whatever order the
+// sender queued its destinations in and whichever worker ran it.
+func TestRunRoundsFlatOrder(t *testing.T) {
+	t.Parallel()
+	const n = 10
+	const rounds = 3
+	for _, workers := range []int{1, 3} {
+		nw, err := New(n, WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = nw.RunRounds(func(nd *Node, round int, inbox FlatInbox) (bool, error) {
+			id := nd.ID()
+			if round > 0 {
+				prevFrom, prevSeq, count := -1, -1, 0
+				for from, p := range inbox.Records() {
+					if from < prevFrom {
+						return true, fmt.Errorf("node %d round %d: sender %d after %d", id, round, from, prevFrom)
+					}
+					if from != prevFrom {
+						prevSeq = -1
+					}
+					seq := int(p[1])
+					if seq != prevSeq+1 || int(p[0]) != round-1 || len(p) != 2+seq {
+						return true, fmt.Errorf("node %d round %d: packet %v from %d out of send order", id, round, p, from)
+					}
+					prevFrom, prevSeq = from, seq
+					count++
+				}
+				want := 0
+				for from := 0; from < n; from++ {
+					want += 1 + (from+round-1)%3
+				}
+				if count != want {
+					return true, fmt.Errorf("node %d round %d: %d records, want %d", id, round, count, want)
+				}
+			}
+			if round == rounds {
+				return true, nil
+			}
+			// Destinations descending and interleaved: packet seq of every
+			// destination goes out before packet seq+1 of any.
+			k := 1 + (id+round)%3
+			for seq := 0; seq < k; seq++ {
+				for to := n - 1; to >= 0; to-- {
+					p := make(Packet, 2+seq)
+					p[0], p[1] = Word(round), Word(seq)
+					nd.Send(to, p)
+				}
+			}
+			return false, nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+	}
+}
+
+// TestRunRoundsFlatFramedAccounting: a SendFramed packet reaches the step's
+// FlatInbox with all its physical words but is charged its logical message
+// count and model words — the same Metrics the blocking ExchangeFlat and
+// Exchange paths report for the identical traffic.
+func TestRunRoundsFlatFramedAccounting(t *testing.T) {
+	t.Parallel()
+	const n = 4
+	frame := Packet{2, 1, 7, 1, 8} // two one-word messages plus frame words
+	var stepped Metrics
+	{
+		nw, err := New(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = nw.RunRounds(func(nd *Node, round int, inbox FlatInbox) (bool, error) {
+			if round == 0 {
+				nd.SendFramed((nd.ID()+1)%n, frame, 2, 2)
+				nd.Send(nd.ID(), Packet{Word(nd.ID())})
+				return false, nil
+			}
+			want := []Word{Word((nd.ID() + n - 1) % n), 5, 2, 1, 7, 1, 8, Word(nd.ID()), 1, Word(nd.ID())}
+			if nd.ID() == 0 {
+				// Node 0's own packet sorts before node n-1's frame.
+				want = []Word{0, 1, 0, n - 1, 5, 2, 1, 7, 1, 8}
+			}
+			if !reflect.DeepEqual([]Word(inbox), want) {
+				return true, fmt.Errorf("node %d: inbox %v, want %v", nd.ID(), inbox, want)
+			}
+			return true, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stepped = nw.Metrics()
+	}
+	if stepped.TotalMessages != 3*n || stepped.TotalWords != 3*n || stepped.MaxEdgeWords != 2 || stepped.MaxEdgeMessages != 2 {
+		t.Fatalf("framed step accounting: %+v", stepped)
+	}
+	for _, flat := range []bool{false, true} {
+		nw, err := New(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = nw.Run(func(nd *Node) error {
+			nd.SendFramed((nd.ID()+1)%n, frame, 2, 2)
+			nd.Send(nd.ID(), Packet{Word(nd.ID())})
+			if flat {
+				_, err := nd.ExchangeFlat()
+				return err
+			}
+			_, err := nd.Exchange()
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := nw.Metrics(); !reflect.DeepEqual(m, stepped) {
+			t.Fatalf("blocking (flat=%v) metrics %+v differ from step metrics %+v", flat, m, stepped)
+		}
+	}
+}
+
+// TestRunRoundsFlatDropsToDeparted: packets addressed to a retired node —
+// in its final round or later — never reach any FlatInbox and are counted
+// as dropped logical messages (a frame counts its message count).
+func TestRunRoundsFlatDropsToDeparted(t *testing.T) {
+	t.Parallel()
+	const n = 3
+	nw, err := New(n, WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	received := make([]int, n)
+	err = nw.RunRounds(func(nd *Node, round int, inbox FlatInbox) (bool, error) {
+		received[nd.ID()] += flatCount(inbox)
+		switch nd.ID() {
+		case 0:
+			// Rounds 0 and 1: a 3-message frame for node 1 (departs after
+			// round 0) and a plain packet for node 2.
+			nd.SendFramed(1, Packet{3, 0, 0, 0}, 3, 0)
+			nd.Send(2, Packet{Word(round)})
+			return round == 1, nil
+		case 1:
+			return true, nil
+		default:
+			return round == 2, nil
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if received[1] != 0 || received[2] != 2 {
+		t.Fatalf("received per node %v, want node 1 none and node 2 two packets", received)
+	}
+	if m := nw.Metrics(); m.DroppedToDeparted != 6 || m.TotalMessages != 2 {
+		t.Fatalf("dropped %d, delivered %d; want 6 and 2", m.DroppedToDeparted, m.TotalMessages)
+	}
+}
+
+// TestRunRoundsFlatPayloadGrace: the payload words of a step's FlatInbox,
+// held without cloning, stay intact for PayloadGraceRounds further step
+// calls while full-mesh traffic keeps flowing through the receive ring.
+func TestRunRoundsFlatPayloadGrace(t *testing.T) {
+	t.Parallel()
+	const n = 8
+	const rounds = 12
+	nw, err := New(n, WithWorkers(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type held struct {
+		round int // the round whose step received the packet
+		from  int
+		p     Packet
+	}
+	kept := make([][]held, n)
+	err = nw.RunRounds(func(nd *Node, round int, inbox FlatInbox) (bool, error) {
+		id := nd.ID()
+		for from, p := range inbox.Records() {
+			kept[id] = append(kept[id], held{round: round, from: from, p: p})
+		}
+		live := kept[id][:0]
+		for _, h := range kept[id] {
+			if round-h.round > PayloadGraceRounds {
+				continue // past the grace window: no longer guaranteed
+			}
+			sent := h.round - 1
+			for k, w := range h.p {
+				if w != pw(sent, h.from, id, k) {
+					return true, fmt.Errorf("node %d round %d: payload from %d received in round %d overwritten", id, round, h.from, h.round)
+				}
+			}
+			live = append(live, h)
+		}
+		kept[id] = live
+		if round == rounds {
+			return true, nil
+		}
+		for to := 0; to < n; to++ {
+			p := make(Packet, 1+(id+to+round)%4)
+			for k := range p {
+				p[k] = pw(round, id, to, k)
+			}
+			nd.Send(to, p)
+		}
+		return false, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -202,15 +202,13 @@ func TestInjectedCancelAtTurnOver(t *testing.T) {
 // with no sends — producing checksums identical to the blocking program's.
 func chaosStepProgram(rounds int, sums []int64) StepFunc {
 	accs := make([]int64, len(sums))
-	return func(nd *Node, round int, inbox Inbox) (bool, error) {
+	return func(nd *Node, round int, inbox FlatInbox) (bool, error) {
 		id := nd.ID()
 		if round == 0 {
 			accs[id] = int64(id + 1)
 		}
-		for from := 0; from < len(inbox); from++ {
-			for _, p := range inbox[from] {
-				accs[id] += int64(from+1) * int64(p[0])
-			}
+		for from, p := range inbox.Records() {
+			accs[id] += int64(from+1) * int64(p[0])
 		}
 		if round == rounds {
 			sums[id] = accs[id]

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -124,13 +125,6 @@ func (g *generation) release() {
 // atomic.Pointer.
 type failure struct{ err error }
 
-// inboxSeg is one contiguous run of a receiver's header arena holding the
-// packets of a single sender (worker-pool mode only).
-type inboxSeg struct {
-	from       int32
-	start, end int32
-}
-
 // activeOne is the increment of the live-node half of Network.state.
 const activeOne = uint64(1) << 32
 
@@ -208,10 +202,10 @@ type Network struct {
 	// round; the owner consumes and nils it after the barrier.
 	inboxes  []Inbox
 	departed []bool
-	// flat[i] is published by node i alongside its outbox: true when the node
-	// called ExchangeFlat for this round, making delivery write its traffic
-	// as flat [from, len, payload...] records into the word arena instead of
-	// building an Inbox (no header arena, no backbone, no segment tracking).
+	// flat[i] is published by node i alongside its outbox (set once for a
+	// whole RunRounds run): true makes delivery write the node's traffic as
+	// flat [from, len, payload...] records into the word arena instead of
+	// building an Inbox (no header arena, no backbone).
 	flat []bool
 
 	// Per-receiver delivery buffers, reused round over round. backbone[t] is
@@ -237,14 +231,6 @@ type Network struct {
 	// setFrom[t] lists the backbone entries populated for receiver t this
 	// round, so retire clears O(traffic) entries instead of all n.
 	setFrom [][]int32
-
-	// Worker-pool mode (RunRounds). An inbox there is only alive during one
-	// step call, so instead of a persistent n-entry backbone per receiver
-	// (Θ(n²) memory), delivery records per-receiver segment lists and each
-	// worker materialises them into its own scratch backbone just for the
-	// step call: O(traffic + workers·n) memory. segs is non-nil exactly in
-	// worker-pool mode.
-	segs [][]inboxSeg
 
 	// sem, when non-nil, bounds the number of concurrently computing node
 	// goroutines in Run (see WithWorkers).
@@ -527,7 +513,6 @@ func (nw *Network) resetRun() {
 	}
 	nw.edgeTouch = nw.edgeTouch[:0]
 	nw.recvTouch = nw.recvTouch[:0]
-	nw.segs = nil
 	nw.sem = nil
 	nw.round.Store(0)
 	nw.fail.Store(nil)
@@ -763,9 +748,11 @@ func (nw *Network) firstError(errs []error) error {
 
 // StepFunc is one node's program in the engine-driven scheduling mode of
 // RunRounds. It is invoked once per round; inbox holds what the node received
-// at the end of the previous round (nil in round 0) and is only valid for the
-// duration of the call. Packets queued with nd.Send during the call are
-// delivered at the end of the round. Returning done = true retires the node:
+// at the end of the previous round (empty in round 0) as a FlatInbox, so its
+// receive work is proportional to its traffic, not to n. The records are
+// valid for the duration of the call, their payloads for PayloadGraceRounds
+// further calls. Packets queued with nd.Send during the call are delivered
+// at the end of the round. Returning done = true retires the node:
 // its final sends are still delivered to nodes that remain active, but the
 // retired node itself can no longer receive — packets addressed to it in its
 // final round or later are dropped (and counted in DroppedToDeparted), since
@@ -773,16 +760,17 @@ func (nw *Network) firstError(errs []error) error {
 // retires in the same round, that round's sends are discarded without
 // delivery or accounting (mirroring the blocking API, where packets queued
 // by a program that returns without exchanging are never published).
-type StepFunc func(nd *Node, round int, inbox Inbox) (done bool, err error)
+type StepFunc func(nd *Node, round int, inbox FlatInbox) (done bool, err error)
 
 // RunRounds executes step for every node in synchronous rounds on a bounded
 // pool of k worker goroutines (WithWorkers; defaults to GOMAXPROCS), instead
 // of one goroutine per node as Run does. This is the scheduler to use for
 // very large cliques: n >= 10^4 logical nodes run on a handful of goroutines
 // with no parked stacks. Within a round each worker sweeps a contiguous shard
-// of nodes; delivery and metrics are identical to Run, and executions are
-// deterministic for any worker count. Like Run, it may be called repeatedly
-// on one Network (never concurrently).
+// of nodes; every step receives its traffic as ExchangeFlat would, metrics
+// are identical to Run, and executions are deterministic for any worker
+// count. Like Run, it may be called repeatedly on one Network (never
+// concurrently).
 //
 // Error reporting follows the same rule as Run: the lowest failing node id
 // wins; an engine-level failure is returned only if no step failed. Node
@@ -819,9 +807,9 @@ func (nw *Network) RunRoundsContext(ctx context.Context, step StepFunc) error {
 	nodes := make([]*Node, nw.n)
 	for i := range nodes {
 		nodes[i] = &Node{nw: nw, id: i, stepMode: true}
+		nw.flat[i] = true // every step receives its traffic as a FlatInbox
 	}
 	errs := make([]error, nw.n)
-	nw.segs = make([][]inboxSeg, nw.n) // switches delivery to segment mode
 	watching := nw.startWatchdogRun()
 
 	type ack struct {
@@ -837,9 +825,6 @@ func (nw *Network) RunRoundsContext(ctx context.Context, step StepFunc) error {
 		workers.Add(1)
 		go func(startCh chan int, lo, hi int) {
 			defer workers.Done()
-			// scratch holds the materialised inbox of the node currently
-			// stepping; entries are cleared again right after the step call.
-			scratch := make(Inbox, nw.n)
 			for round := range startCh {
 				var a ack
 				for id := lo; id < hi; id++ {
@@ -866,25 +851,16 @@ func (nw *Network) RunRoundsContext(ctx context.Context, step StepFunc) error {
 							nw.stallNode(f.Stall)
 						}
 					}
-					var inbox Inbox
-					if segs := nw.segs[id]; len(segs) > 0 {
-						ha := nw.hdrArena[id]
-						for _, s := range segs {
-							scratch[s.from] = ha[s.start:s.end:s.end]
-						}
-						inbox = scratch
+					// Last round's records; retire only reslices this round's slot.
+					var inbox FlatInbox
+					if round > 0 {
+						inbox = nw.wordArena[(round-1)%payloadRingDepth][id]
 					}
 					if nd.reclaim != nil {
 						nd.pending = nd.reclaim[:0]
 						nd.reclaim = nil
 					}
 					done, err := runStep(step, nd, round, inbox)
-					if segs := nw.segs[id]; len(segs) > 0 {
-						for _, s := range segs {
-							scratch[s.from] = nil
-						}
-						nw.segs[id] = segs[:0]
-					}
 					nd.retire()
 					nd.reclaim = nd.pending
 					nw.outboxes[id] = nd.pending
@@ -965,7 +941,7 @@ func (nw *Network) RunRoundsContext(ctx context.Context, step StepFunc) error {
 
 // runStep invokes step with panic recovery, so one node's panic surfaces as
 // that node's error instead of tearing down the whole process.
-func runStep(step StepFunc, nd *Node, round int, inbox Inbox) (done bool, err error) {
+func runStep(step StepFunc, nd *Node, round int, inbox FlatInbox) (done bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			done, err = true, fmt.Errorf("clique: node %d panicked in round %d: %v", nd.id, round, r)
@@ -1176,15 +1152,32 @@ func (nd *Node) Exchange() (Inbox, error) {
 
 // FlatInbox is the flat receive representation of one round: a sequence of
 // [from, len, payload...] records, one per physical packet, in ascending
-// sender order. The words are engine-owned views into the receive arena and
-// follow the same lifetime rules as Inbox packets (valid until the node's
-// next exchange, payloads for PayloadGraceRounds further barriers).
+// sender order (send order within a sender). The words are engine-owned
+// views into the receive arena and follow the same lifetime rules as Inbox
+// packets (valid until the node's next exchange or step call, payloads for
+// PayloadGraceRounds further barriers).
 type FlatInbox []Word
 
+// Records yields the inbox's records as (sender, payload) pairs in delivery
+// order; each payload is a capacity-capped view into the inbox. The engine
+// only produces well-formed inboxes; a truncated one panics.
+func (f FlatInbox) Records() iter.Seq2[int, Packet] {
+	return func(yield func(int, Packet) bool) {
+		for i := 0; i < len(f); {
+			end := i + 2 + int(f[i+1])
+			if !yield(int(f[i]), Packet(f[i+2:end:end])) {
+				return
+			}
+			i = end
+		}
+	}
+}
+
 // ExchangeFlat is Exchange for receivers that want the round's traffic as a
-// FlatInbox. Skipping the Inbox assembly (header arena, backbone, segment
-// tracking) makes delivery one append per packet; it is the receive path of
-// the flat-frame protocol layer, which decodes the records directly.
+// FlatInbox. Skipping the Inbox assembly (header arena, backbone) makes
+// delivery one append per packet; it is the receive path of the flat-frame
+// protocol layer and of every RunRounds step, which decode the records
+// directly.
 func (nd *Node) ExchangeFlat() (FlatInbox, error) {
 	// The round the packets were delivered in is nd.round before
 	// exchangeBarrier increments it.
@@ -1364,7 +1357,6 @@ func (nw *Network) deliverRound() {
 	destLoad := nw.destLoad
 	edgeTouch := nw.edgeTouch
 	recvTouch := nw.recvTouch
-	segMode := nw.segs != nil
 
 	for from := 0; from < nw.n; from++ {
 		out := nw.outboxes[from]
@@ -1404,7 +1396,7 @@ func (nw *Network) deliverRound() {
 			if flat[to] {
 				// Flat receiver: one [from, len, payload...] record appended
 				// to the word arena is the entire delivery — no header arena,
-				// no backbone, no segments.
+				// no backbone.
 				wa = append(wa, Word(from), Word(len(pp.data)))
 				wa = append(wa, pp.data...)
 				arena[to] = wa
@@ -1412,44 +1404,31 @@ func (nw *Network) deliverRound() {
 					recvTouch = append(recvTouch, int32(to))
 					rs.lastFrom = -2 // touched, but no open segment
 				}
-				if destLoad[to] == 0 {
-					edgeTouch = append(edgeTouch, int32(to))
-				}
-				destLoad[to] += uint64(w)<<32 | uint64(uint32(pp.count))
-				rs.words += int32(w)
-				sentWords += w
-				stats.Messages += int(pp.count)
-				stats.Words += w
-				continue
-			}
-
-			pos := len(wa)
-			wa = append(wa, pp.data...)
-			arena[to] = wa
-			data := wa[pos:len(wa):len(wa)]
-			ha := hdrArenas[to]
-			// Senders are scanned in ascending order, so the packets of one
-			// sender form a contiguous segment of the receiver's header arena;
-			// a sender change closes the previous segment.
-			if rs.lastFrom != int32(from) {
-				if rs.lastFrom == -1 { // first packet for `to` this round
-					recvTouch = append(recvTouch, int32(to))
-					if !segMode {
+			} else {
+				pos := len(wa)
+				wa = append(wa, pp.data...)
+				arena[to] = wa
+				data := wa[pos:len(wa):len(wa)]
+				ha := hdrArenas[to]
+				// Senders are scanned in ascending order, so the packets of
+				// one sender form a contiguous segment of the receiver's
+				// header arena; a sender change closes the previous segment.
+				if rs.lastFrom != int32(from) {
+					if rs.lastFrom == -1 { // first packet for `to` this round
+						recvTouch = append(recvTouch, int32(to))
 						if nw.backbone[to] == nil {
 							nw.backbone[to] = make(Inbox, nw.n)
 						}
 						nw.inboxes[to] = nw.backbone[to]
+					} else {
+						nw.backbone[to][rs.lastFrom] = ha[rs.segStart:len(ha):len(ha)]
+						nw.setFrom[to] = append(nw.setFrom[to], rs.lastFrom)
 					}
-				} else if segMode {
-					nw.segs[to] = append(nw.segs[to], inboxSeg{from: rs.lastFrom, start: rs.segStart, end: int32(len(ha))})
-				} else {
-					nw.backbone[to][rs.lastFrom] = ha[rs.segStart:len(ha):len(ha)]
-					nw.setFrom[to] = append(nw.setFrom[to], rs.lastFrom)
+					rs.lastFrom = int32(from)
+					rs.segStart = int32(len(ha))
 				}
-				rs.lastFrom = int32(from)
-				rs.segStart = int32(len(ha))
+				hdrArenas[to] = append(ha, data)
 			}
-			hdrArenas[to] = append(ha, data)
 
 			if destLoad[to] == 0 {
 				edgeTouch = append(edgeTouch, int32(to))
@@ -1509,18 +1488,14 @@ func (nw *Network) deliverRound() {
 }
 
 // flushSegment closes the receiver's current header-arena segment, exposing
-// it as the inbox entry of the sender that produced it (directly in the
-// receiver's backbone, or as a segment record in worker-pool mode).
+// it in the receiver's backbone as the inbox entry of the sender that
+// produced it.
 func (nw *Network) flushSegment(to int) {
 	lf := nw.recv[to].lastFrom
 	if lf < 0 {
 		return
 	}
 	ha := nw.hdrArena[to]
-	if nw.segs != nil {
-		nw.segs[to] = append(nw.segs[to], inboxSeg{from: lf, start: nw.recv[to].segStart, end: int32(len(ha))})
-		return
-	}
 	nw.backbone[to][lf] = ha[nw.recv[to].segStart:len(ha):len(ha)]
 	nw.setFrom[to] = append(nw.setFrom[to], lf)
 }

@@ -12,11 +12,13 @@ type Word = int64
 // to respect the O(log n) bits-per-edge budget of the model.
 //
 // Lifetimes: the engine copies sent payloads during delivery, so a sender may
-// reuse its buffer as soon as its next Exchange returns. Received packets are
-// engine-owned views into per-receiver arenas. The Inbox structure and the
-// packet headers stay valid until the receiver's next Exchange call; the
-// payload words stay valid for PayloadGraceRounds further barriers, so a
-// received packet may be forwarded verbatim within that window (this covers
+// reuse its buffer as soon as its next Exchange returns (under RunRounds, in
+// its next step call). Received packets are engine-owned views into
+// per-receiver arenas. An Inbox and its packet headers, or a FlatInbox's
+// records (ExchangeFlat, and the inbox of every RunRounds step), stay valid
+// until the receiver's next exchange or step call; the payload words stay
+// valid for PayloadGraceRounds further barriers, so a received packet may be
+// forwarded verbatim within that window (this covers
 // the paper's constant-round primitives, which re-send received words after
 // at most two intervening announcement rounds). Callers that retain packet
 // contents beyond the grace window must Clone them. All received views

@@ -95,7 +95,7 @@ func TestRunRoundsContextCancel(t *testing.T) {
 	defer nw.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	err = nw.RunRoundsContext(ctx, func(nd *Node, round int, inbox Inbox) (bool, error) {
+	err = nw.RunRoundsContext(ctx, func(nd *Node, round int, inbox FlatInbox) (bool, error) {
 		if nd.ID() == 0 && round == 2 {
 			cancel()
 		}
@@ -105,7 +105,7 @@ func TestRunRoundsContextCancel(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("run error = %v, want one wrapping context.Canceled", err)
 	}
-	if err := nw.RunRounds(func(nd *Node, round int, inbox Inbox) (bool, error) {
+	if err := nw.RunRounds(func(nd *Node, round int, inbox FlatInbox) (bool, error) {
 		return round >= 1, nil
 	}); err != nil {
 		t.Fatalf("RunRounds after cancelled run: %v", err)
@@ -113,8 +113,8 @@ func TestRunRoundsContextCancel(t *testing.T) {
 }
 
 // TestMixedRunModesReuse alternates blocking Run and engine-driven RunRounds
-// on one Network: the segment-mode delivery state of RunRounds must not leak
-// into the following blocking run, and metrics must match a fresh Network's.
+// on one Network: the all-flat delivery mode of RunRounds must not leak into
+// the following blocking run, and metrics must match a fresh Network's.
 func TestMixedRunModesReuse(t *testing.T) {
 	t.Parallel()
 	const n = 12
@@ -135,13 +135,13 @@ func TestMixedRunModesReuse(t *testing.T) {
 		}
 		return nil
 	}
-	stepped := func(nd *Node, round int, inbox Inbox) (bool, error) {
+	stepped := func(nd *Node, round int, inbox FlatInbox) (bool, error) {
 		if round == 0 {
 			nd.Broadcast(Packet{Word(nd.ID()), Word(7)})
 			return false, nil
 		}
-		if inbox.Count() != n {
-			return true, fmt.Errorf("node %d received %d packets, want %d", nd.ID(), inbox.Count(), n)
+		if got := flatCount(inbox); got != n {
+			return true, fmt.Errorf("node %d received %d packets, want %d", nd.ID(), got, n)
 		}
 		return true, nil
 	}

@@ -260,3 +260,46 @@ func SparseSortStepCapable(s SortStrategy) bool {
 		return false
 	}
 }
+
+// eachAggregate decodes a census aggregation round at node 0: every sender
+// 0..n-1 must have sent exactly one packet of width words, and fold sees
+// those packets in ascending sender order. It returns the first sender
+// without exactly one well-formed packet, or -1 when every sender has one.
+// A single sweep over the records suffices because they arrive in sender
+// order: a record from beyond the next expected sender means that sender
+// sent nothing, and a second record from the last accepted sender means it
+// sent two.
+func eachAggregate(inbox clique.FlatInbox, n, width int, fold func(p clique.Packet)) int {
+	next := 0
+	for from, p := range inbox.Records() {
+		if from != next || len(p) != width {
+			return min(from, next)
+		}
+		fold(p)
+		next++
+	}
+	if next < n {
+		return next
+	}
+	return -1
+}
+
+// soleFrom returns the packet node from sent this round, or nil unless it
+// sent exactly one.
+func soleFrom(inbox clique.FlatInbox, from int) clique.Packet {
+	var sole clique.Packet
+	count := 0
+	for f, p := range inbox.Records() {
+		if f > from {
+			break
+		}
+		if f == from {
+			sole = p
+			count++
+		}
+	}
+	if count != 1 {
+		return nil
+	}
+	return sole
+}

@@ -14,10 +14,13 @@ import (
 // blocking executors in planner.go and census.go: the same packets and frames
 // on the same edges in the same rounds, the same SendFramed model accounting
 // and the same error strings, so Stats and results match the dense path bit
-// for bit wherever both run. What changes is memory: no per-node goroutine
+// for bit wherever both run. What changes is the cost: no per-node goroutine
 // stack, no length-n per-node slice (directRoute's byDst, broadcastRoute's
-// held, the census count array) — every node's state is proportional to its
-// own traffic, and the run's only O(n) allocations are flat index tables.
+// held, the census count array), and no scan over n senders — every step
+// decodes its clique.FlatInbox records in one sweep, so every node's state
+// and per-round work are proportional to its own traffic (node 0's census
+// aggregation is Θ(n) because it receives n packets), and the run's only
+// O(n) allocations are flat index tables.
 //
 // Round mapping. With the census armed, step rounds 0..2 carry the three
 // census exchanges (R1 counts, R2 aggregates, R3 verdict) and the verdict is
@@ -107,7 +110,7 @@ func (run *SparseRouteRun) Rounds() int { return run.off + run.plan.Rounds() }
 
 // Step is the clique.StepFunc of the run: every node executes it once per
 // round under RunRounds.
-func (run *SparseRouteRun) Step(nd *clique.Node, round int, inbox clique.Inbox) (bool, error) {
+func (run *SparseRouteRun) Step(nd *clique.Node, round int, inbox clique.FlatInbox) (bool, error) {
 	if round < run.off {
 		return false, run.censusStep(nd, round, inbox)
 	}
@@ -135,7 +138,7 @@ func (run *SparseRouteRun) Step(nd *clique.Node, round int, inbox clique.Inbox) 
 // censusStep executes census rounds 0..2: the same three exchanges as
 // runRouteCensus, with the per-destination counts read off the grouped row
 // instead of a dense length-n array.
-func (run *SparseRouteRun) censusStep(nd *clique.Node, round int, inbox clique.Inbox) error {
+func (run *SparseRouteRun) censusStep(nd *clique.Node, round int, inbox clique.FlatInbox) error {
 	n := run.n
 	id := nd.ID()
 	st := &run.nodes[id]
@@ -155,13 +158,11 @@ func (run *SparseRouteRun) censusStep(nd *clique.Node, round int, inbox clique.I
 		}
 	case 1:
 		// Decode R1, report aggregates to node 0.
-		for from := 0; from < len(inbox); from++ {
-			for _, p := range inbox[from] {
-				if len(p) < 1 {
-					return fmt.Errorf("core: census: malformed count message")
-				}
-				st.recvTotal += int(p[0])
+		for _, p := range inbox.Records() {
+			if len(p) < 1 {
+				return fmt.Errorf("core: census: malformed count message")
 			}
+			st.recvTotal += int(p[0])
 		}
 		grouped := run.groupedRow(id)
 		rowPairMax := 0
@@ -190,11 +191,7 @@ func (run *SparseRouteRun) censusStep(nd *clique.Node, round int, inbox clique.I
 		}
 		total, maxPair, activeSources := 0, 0, 0
 		h := uint64(fnvOffset64)
-		for from := 0; from < n; from++ {
-			if from >= len(inbox) || len(inbox[from]) != 1 || len(inbox[from][0]) != 4 {
-				return fmt.Errorf("core: census: node 0 missing aggregate from node %d", from)
-			}
-			p := inbox[from][0]
+		missing := eachAggregate(inbox, n, 4, func(p clique.Packet) {
 			sendTotal := int(p[0])
 			total += sendTotal
 			if sendTotal > 0 {
@@ -204,6 +201,9 @@ func (run *SparseRouteRun) censusStep(nd *clique.Node, round int, inbox clique.I
 				maxPair = int(p[2])
 			}
 			h = foldRows(h, sendTotal, uint64(p[3]))
+		})
+		if missing >= 0 {
+			return fmt.Errorf("core: census: node 0 missing aggregate from node %d", missing)
 		}
 		strategy := routeStrategyFromCensus(n, total, maxPair, activeSources, run.plan.relayRoundsCensus)
 		verdict := clique.Packet{clique.Word(strategy), clique.Word(run.plan.relayRoundsCensus), clique.Word(h)}
@@ -216,12 +216,12 @@ func (run *SparseRouteRun) censusStep(nd *clique.Node, round int, inbox clique.I
 
 // censusVerify checks the broadcast verdict against the plan at step round 3,
 // with the exact disagreement diagnostics of the blocking census.
-func (run *SparseRouteRun) censusVerify(nd *clique.Node, inbox clique.Inbox) error {
+func (run *SparseRouteRun) censusVerify(nd *clique.Node, inbox clique.FlatInbox) error {
 	plan := run.plan
-	if len(inbox) == 0 || len(inbox[0]) != 1 || len(inbox[0][0]) != 3 {
+	verdict := soleFrom(inbox, 0)
+	if len(verdict) != 3 {
 		return fmt.Errorf("core: census: node %d missing verdict broadcast", nd.ID())
 	}
-	verdict := inbox[0][0]
 	if RouteStrategy(verdict[0]) != plan.Strategy {
 		return fmt.Errorf("core: census: distributed verdict %v disagrees with plan %v at node %d",
 			RouteStrategy(verdict[0]), plan.Strategy, nd.ID())
@@ -238,7 +238,7 @@ func (run *SparseRouteRun) censusVerify(nd *clique.Node, inbox clique.Inbox) err
 
 // directStep is directRoute as a step program: one frame per busy
 // (source, destination) pair in strategy round 0, decode in round 1.
-func (run *SparseRouteRun) directStep(nd *clique.Node, sround int, inbox clique.Inbox) (bool, error) {
+func (run *SparseRouteRun) directStep(nd *clique.Node, sround int, inbox clique.FlatInbox) (bool, error) {
 	id := nd.ID()
 	switch sround {
 	case 0:
@@ -270,14 +270,12 @@ func (run *SparseRouteRun) directStep(nd *clique.Node, sround int, inbox clique.
 		return false, nil
 	default:
 		var received []Message
-		for from := 0; from < len(inbox); from++ {
-			for _, p := range inbox[from] {
-				if len(p)%directWordsPerMessage != 0 {
-					return true, fmt.Errorf("core: malformed direct frame with %d words", len(p))
-				}
-				for i := 0; i < len(p); i += directWordsPerMessage {
-					received = append(received, Message{Src: from, Dst: id, Seq: int(p[i]), Payload: p[i+1]})
-				}
+		for from, p := range inbox.Records() {
+			if len(p)%directWordsPerMessage != 0 {
+				return true, fmt.Errorf("core: malformed direct frame with %d words", len(p))
+			}
+			for i := 0; i < len(p); i += directWordsPerMessage {
+				received = append(received, Message{Src: from, Dst: id, Seq: int(p[i]), Payload: p[i+1]})
 			}
 		}
 		sortMessages(received)
@@ -289,7 +287,7 @@ func (run *SparseRouteRun) directStep(nd *clique.Node, sround int, inbox clique.
 // broadcastStep is broadcastRoute as a step program: scatter in strategy
 // round 0, held-group assembly plus the first relay round in round 1, then
 // one relay round per step until RelayRounds are done.
-func (run *SparseRouteRun) broadcastStep(nd *clique.Node, sround int, inbox clique.Inbox) (bool, error) {
+func (run *SparseRouteRun) broadcastStep(nd *clique.Node, sround int, inbox clique.FlatInbox) (bool, error) {
 	n := run.n
 	id := nd.ID()
 	st := &run.nodes[id]
@@ -311,17 +309,15 @@ func (run *SparseRouteRun) broadcastStep(nd *clique.Node, sround int, inbox cliq
 		// Assemble the held groups from the scatter round. A stable sort by
 		// destination reproduces the dense path's per-destination append
 		// order (ascending sender, packet order within a sender).
-		for from := 0; from < len(inbox); from++ {
-			for _, p := range inbox[from] {
-				if len(p) < relayWordsPerMessage {
-					return true, fmt.Errorf("core: malformed scattered message with %d words", len(p))
-				}
-				dst := int(p[0])
-				if dst < 0 || dst >= n {
-					return true, fmt.Errorf("core: scattered destination %d out of range", dst)
-				}
-				st.held = append(st.held, Message{Src: from, Dst: dst, Seq: int(p[1]), Payload: p[2]})
+		for from, p := range inbox.Records() {
+			if len(p) < relayWordsPerMessage {
+				return true, fmt.Errorf("core: malformed scattered message with %d words", len(p))
 			}
+			dst := int(p[0])
+			if dst < 0 || dst >= n {
+				return true, fmt.Errorf("core: scattered destination %d out of range", dst)
+			}
+			st.held = append(st.held, Message{Src: from, Dst: dst, Seq: int(p[1]), Payload: p[2]})
 		}
 		slices.SortStableFunc(st.held, func(a, b Message) int { return a.Dst - b.Dst })
 		st.heldStart = append(st.heldStart, 0)
@@ -346,13 +342,11 @@ func (run *SparseRouteRun) broadcastStep(nd *clique.Node, sround int, inbox cliq
 		return false, nil
 	default:
 		r := sround - 2 // the relay round whose traffic this inbox carries
-		for from := 0; from < len(inbox); from++ {
-			for _, p := range inbox[from] {
-				if len(p) < relayWordsPerMessage {
-					return true, fmt.Errorf("core: malformed relayed message with %d words", len(p))
-				}
-				st.received = append(st.received, Message{Src: int(p[0]), Dst: id, Seq: int(p[1]), Payload: p[2]})
+		for _, p := range inbox.Records() {
+			if len(p) < relayWordsPerMessage {
+				return true, fmt.Errorf("core: malformed relayed message with %d words", len(p))
 			}
+			st.received = append(st.received, Message{Src: int(p[0]), Dst: id, Seq: int(p[1]), Payload: p[2]})
 		}
 		if r+1 < relayRounds {
 			run.relaySends(nd, st, r+1)

@@ -82,7 +82,7 @@ func (run *SparseSortRun) Result(node int) *SortResult { return run.results[node
 func (run *SparseSortRun) Rounds() int { return run.off + run.plan.Rounds() }
 
 // Step is the clique.StepFunc of the run.
-func (run *SparseSortRun) Step(nd *clique.Node, round int, inbox clique.Inbox) (bool, error) {
+func (run *SparseSortRun) Step(nd *clique.Node, round int, inbox clique.FlatInbox) (bool, error) {
 	if round < run.off {
 		return false, run.censusStep(nd, round, inbox)
 	}
@@ -107,7 +107,7 @@ func (run *SparseSortRun) Step(nd *clique.Node, round int, inbox clique.Inbox) (
 }
 
 // censusStep executes the two sort-census exchanges of runSortCensus.
-func (run *SparseSortRun) censusStep(nd *clique.Node, round int, inbox clique.Inbox) error {
+func (run *SparseSortRun) censusStep(nd *clique.Node, round int, inbox clique.FlatInbox) error {
 	n := run.n
 	id := nd.ID()
 	switch round {
@@ -121,12 +121,11 @@ func (run *SparseSortRun) censusStep(nd *clique.Node, round int, inbox clique.In
 			return nil
 		}
 		h := uint64(fnvOffset64)
-		for from := 0; from < n; from++ {
-			if from >= len(inbox) || len(inbox[from]) != 1 || len(inbox[from][0]) != 2 {
-				return fmt.Errorf("core: sort census: node 0 missing aggregate from node %d", from)
-			}
-			p := inbox[from][0]
+		missing := eachAggregate(inbox, n, 2, func(p clique.Packet) {
 			h = foldRows(h, int(p[0]), uint64(p[1]))
+		})
+		if missing >= 0 {
+			return fmt.Errorf("core: sort census: node 0 missing aggregate from node %d", missing)
 		}
 		verdict := clique.Packet{clique.Word(run.plan.Strategy), clique.Word(h)}
 		for to := 0; to < n; to++ {
@@ -138,12 +137,12 @@ func (run *SparseSortRun) censusStep(nd *clique.Node, round int, inbox clique.In
 
 // censusVerify checks the broadcast sort verdict against the plan at step
 // round 2, with the exact diagnostics of the blocking census.
-func (run *SparseSortRun) censusVerify(nd *clique.Node, inbox clique.Inbox) error {
+func (run *SparseSortRun) censusVerify(nd *clique.Node, inbox clique.FlatInbox) error {
 	plan := run.plan
-	if len(inbox) == 0 || len(inbox[0]) != 1 || len(inbox[0][0]) != 2 {
+	verdict := soleFrom(inbox, 0)
+	if len(verdict) != 2 {
 		return fmt.Errorf("core: sort census: node %d missing verdict broadcast", nd.ID())
 	}
-	verdict := inbox[0][0]
 	if SortStrategy(verdict[0]) != plan.Strategy {
 		return fmt.Errorf("core: sort census: broadcast verdict %v disagrees with plan %v at node %d",
 			SortStrategy(verdict[0]), plan.Strategy, nd.ID())
@@ -157,7 +156,7 @@ func (run *SparseSortRun) censusVerify(nd *clique.Node, inbox clique.Inbox) erro
 
 // presortedStep is presortedSort (and the dealByRank/dealDeliver pair behind
 // it) as a step program.
-func (run *SparseSortRun) presortedStep(nd *clique.Node, sround int, inbox clique.Inbox) (bool, error) {
+func (run *SparseSortRun) presortedStep(nd *clique.Node, sround int, inbox clique.FlatInbox) (bool, error) {
 	const context = "presorted.rank"
 	n := run.n
 	id := nd.ID()
@@ -202,28 +201,26 @@ func (run *SparseSortRun) presortedStep(nd *clique.Node, sround int, inbox cliqu
 		// Decode the ranked bundles and forward every key to the node owning
 		// its rank range (round 2 of dealDeliver).
 		var relayed []rankedKey
-		for from := 0; from < len(inbox); from++ {
-			for _, frame := range inbox[from] {
-				records, err := appendFrameMessages(nil, frame)
-				if err != nil {
-					return true, fmt.Errorf("%s deal: %w", context, err)
+		for _, frame := range inbox.Records() {
+			records, err := appendFrameMessages(nil, frame)
+			if err != nil {
+				return true, fmt.Errorf("%s deal: %w", context, err)
+			}
+			for _, p := range records {
+				if len(p) < 1 {
+					continue
 				}
-				for _, p := range records {
-					if len(p) < 1 {
-						continue
+				count := int(p[0])
+				if count < 0 || len(p) < 1+count*(keyWords+1) {
+					return true, fmt.Errorf("%s deal: malformed ranked bundle", context)
+				}
+				for i := 0; i < count; i++ {
+					base := 1 + i*(keyWords+1)
+					k, decErr := decodeKey(p[base+1:])
+					if decErr != nil {
+						return true, fmt.Errorf("%s deal: %w", context, decErr)
 					}
-					count := int(p[0])
-					if count < 0 || len(p) < 1+count*(keyWords+1) {
-						return true, fmt.Errorf("%s deal: malformed ranked bundle", context)
-					}
-					for i := 0; i < count; i++ {
-						base := 1 + i*(keyWords+1)
-						k, decErr := decodeKey(p[base+1:])
-						if decErr != nil {
-							return true, fmt.Errorf("%s deal: %w", context, decErr)
-						}
-						relayed = append(relayed, rankedKey{rank: int(p[base]), key: k})
-					}
+					relayed = append(relayed, rankedKey{rank: int(p[base]), key: k})
 				}
 			}
 		}
@@ -238,22 +235,20 @@ func (run *SparseSortRun) presortedStep(nd *clique.Node, sround int, inbox cliqu
 	default:
 		// Assemble the contiguous batch.
 		var mine []rankedKey
-		for from := 0; from < len(inbox); from++ {
-			for _, frame := range inbox[from] {
-				records, err := appendFrameMessages(nil, frame)
-				if err != nil {
-					return true, fmt.Errorf("%s deliver: %w", context, err)
+		for _, frame := range inbox.Records() {
+			records, err := appendFrameMessages(nil, frame)
+			if err != nil {
+				return true, fmt.Errorf("%s deliver: %w", context, err)
+			}
+			for _, p := range records {
+				if len(p) < 1+keyWords {
+					continue
 				}
-				for _, p := range records {
-					if len(p) < 1+keyWords {
-						continue
-					}
-					k, decErr := decodeKey(p[1:])
-					if decErr != nil {
-						return true, fmt.Errorf("%s deliver: %w", context, decErr)
-					}
-					mine = append(mine, rankedKey{rank: int(p[0]), key: k})
+				k, decErr := decodeKey(p[1:])
+				if decErr != nil {
+					return true, fmt.Errorf("%s deliver: %w", context, decErr)
 				}
+				mine = append(mine, rankedKey{rank: int(p[0]), key: k})
 			}
 		}
 		slices.SortFunc(mine, func(a, b rankedKey) int { return a.rank - b.rank })

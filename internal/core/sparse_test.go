@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"congestedclique/internal/clique"
@@ -299,5 +301,92 @@ func TestSparseSortRunMatchesDense(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// flatOf encodes a per-sender packet list as the engine's FlatInbox.
+func flatOf(in clique.Inbox) clique.FlatInbox {
+	var flat clique.FlatInbox
+	for from, ps := range in {
+		for _, p := range ps {
+			flat = append(flat, clique.Word(from), clique.Word(len(p)))
+			flat = append(flat, p...)
+		}
+	}
+	return flat
+}
+
+// TestFlatCensusDecodeMatchesDense pins the one-sweep census decode against
+// the per-sender rule of the dense inbox: over random inboxes with missing,
+// duplicated and malformed aggregates, eachAggregate names the same first
+// sender lacking exactly one well-formed packet and folds the same packets,
+// soleFrom agrees with "exactly one packet from the sender", and the census
+// steps report the blocking census's error strings.
+func TestFlatCensusDecodeMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.Intn(6)
+		width := 2 + rng.Intn(3)
+		in := make(clique.Inbox, n)
+		for from := range in {
+			k := 1
+			if rng.Intn(4) == 0 {
+				k = rng.Intn(3)
+			}
+			for j := 0; j < k; j++ {
+				l := width
+				if rng.Intn(8) == 0 {
+					l = rng.Intn(width + 2)
+				}
+				p := make(clique.Packet, l)
+				for w := range p {
+					p[w] = clique.Word(rng.Intn(100))
+				}
+				in[from] = append(in[from], p)
+			}
+		}
+		flat := flatOf(in)
+
+		wantMissing := -1
+		var wantFolded []clique.Packet
+		for from := 0; from < n; from++ {
+			if len(in[from]) != 1 || len(in[from][0]) != width {
+				wantMissing = from
+				break
+			}
+			wantFolded = append(wantFolded, in[from][0])
+		}
+		var folded []clique.Packet
+		missing := eachAggregate(flat, n, width, func(p clique.Packet) { folded = append(folded, p) })
+		if missing != wantMissing {
+			t.Fatalf("trial %d: eachAggregate names sender %d, dense rule %d (inbox %v)", trial, missing, wantMissing, in)
+		}
+		if missing < 0 && !reflect.DeepEqual(folded, wantFolded) {
+			t.Fatalf("trial %d: folded %v, want %v", trial, folded, wantFolded)
+		}
+		for from := 0; from < n; from++ {
+			var want clique.Packet
+			if len(in[from]) == 1 {
+				want = in[from][0]
+			}
+			if got := soleFrom(flat, from); (got == nil) != (want == nil) || !slices.Equal(got, want) {
+				t.Fatalf("trial %d: soleFrom(%d) = %v, want %v", trial, from, got, want)
+			}
+		}
+	}
+
+	route := &SparseRouteRun{n: 3, nodes: make([]sparseRouteNode, 3)}
+	err := route.censusStep(&clique.Node{}, 2, flatOf(clique.Inbox{{{1, 2, 3, 4}}, nil, {{1, 2, 3, 4}}}))
+	if want := "core: census: node 0 missing aggregate from node 1"; err == nil || err.Error() != want {
+		t.Errorf("route census error %v, want %q", err, want)
+	}
+	sorting := &SparseSortRun{n: 3}
+	err = sorting.censusStep(&clique.Node{}, 1, flatOf(clique.Inbox{{{1, 2}}, {{1, 2}, {3, 4}}, {{1, 2}}}))
+	if want := "core: sort census: node 0 missing aggregate from node 1"; err == nil || err.Error() != want {
+		t.Errorf("sort census error %v, want %q", err, want)
+	}
+	err = sorting.censusVerify(&clique.Node{}, flatOf(clique.Inbox{{{1, 2}, {1, 2}}}))
+	if want := "core: sort census: node 0 missing verdict broadcast"; err == nil || err.Error() != want {
+		t.Errorf("sort verdict error %v, want %q", err, want)
 	}
 }

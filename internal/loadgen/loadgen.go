@@ -63,7 +63,9 @@ type Result struct {
 	// OpsPerSec is aggregate completed operations per second of wall time.
 	OpsPerSec float64
 	// P50, P90, P99 and P999 are latency percentiles over all successful
-	// operations.
+	// operations. In an open-loop network run (NetworkConfig.Rate) latencies
+	// run from each operation's due time and the sample also holds every
+	// shed operation as a miss (MissLatency).
 	P50, P90, P99, P999 time.Duration
 	// Verified is the number of operations whose results were cross-checked
 	// against the serial golden in the verification pass (0 when
@@ -73,7 +75,8 @@ type Result struct {
 	// SucceededOps and FailedOps split TotalOps for the measured pass: an
 	// operation error no longer aborts the measured window — it is counted
 	// against its stream and the stream keeps issuing operations. OpsPerSec
-	// and the latency percentiles cover successful operations only.
+	// and the latency percentiles cover successful operations only (plus
+	// open-loop sheds, counted as misses).
 	SucceededOps int
 	FailedOps    int
 	// StreamErrors is the per-stream failed-operation count of the measured

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -331,91 +332,92 @@ func runClosedLoop(cfg NetworkConfig, clients []*service.Client, issue issueFunc
 	}
 	wg.Wait()
 	wall := time.Since(start)
-	return assembleNetResult(cfg, wall, latencies, okOps, streamErrs, firstErrs, shedBy), nil
+	sample := make([]time.Duration, 0, totalOps)
+	for i, ok := range okOps {
+		if ok {
+			sample = append(sample, latencies[i])
+		}
+	}
+	return assembleNetResult(cfg, wall, totalOps, sample, len(sample), streamErrs, firstErrs, shedBy), nil
 }
 
-// runOpenLoop offers cfg.Rate operations per second for cfg.Duration,
-// dispatching each operation in its own goroutine round-robin across the
-// connection pool — completions never gate arrivals, so the offered load
-// holds through saturation. Every successful response is verified.
+// MissLatency is the latency an open-loop run records for a shed operation:
+// it misses every latency limit, so a percentile that lands on a shed reads
+// MissLatency instead of the shed vanishing from the sample.
+const MissLatency = time.Duration(math.MaxInt64)
+
+// runOpenLoop offers cfg.Rate operations per second for cfg.Duration on a
+// fixed schedule: operation i is due at start + i/Rate and is dispatched at
+// its due time (never earlier) in its own goroutine, round-robin across the
+// connection pool. Completions never gate arrivals, and a generator that
+// falls behind dispatches the overdue operations at once instead of dropping
+// them, so the offered count is always Rate × Duration. Each latency is
+// measured from the operation's due time, and a shed counts as a miss
+// (MissLatency) in the latency sample. Every successful response is
+// verified.
 func runOpenLoop(cfg NetworkConfig, clients []*service.Client, issue issueFunc, wantRoute, wantSort bool) (Result, error) {
-	interval := time.Duration(float64(time.Second) / cfg.Rate)
-	if interval <= 0 {
+	interval := float64(time.Second) / cfg.Rate
+	if interval < 1 {
 		return Result{}, fmt.Errorf("loadgen: rate %.0f/s too high to schedule", cfg.Rate)
 	}
+	offered := int(cfg.Rate * cfg.Duration.Seconds())
+	due := func(op int) time.Duration { return time.Duration(float64(op) * interval) }
 	var mu sync.Mutex
-	var latencies []time.Duration
+	sample := make([]time.Duration, 0, offered)
+	succeeded := 0
 	streamErrs := make([]int, cfg.Streams)
 	firstErrs := make([]string, cfg.Streams)
 	shedBy := make([]int, cfg.Streams)
 	var mismatch error
 	var wg sync.WaitGroup
 
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	stop := time.NewTimer(cfg.Duration)
-	defer stop.Stop()
 	start := time.Now()
-	offered := 0
-loop:
-	for {
-		select {
-		case <-stop.C:
-			break loop
-		case <-ticker.C:
-			op := offered
-			offered++
-			s := op % cfg.Streams
-			wg.Add(1)
-			go func(op, s int) {
-				defer wg.Done()
-				doRoute := wantRoute && (!wantSort || op%2 == 0)
-				faulted := cfg.FaultEvery > 0 && (op+1)%cfg.FaultEvery == 0
-				opStart := time.Now()
-				okOp, shed, err := issue(clients[s], doRoute, faulted, true)
-				mu.Lock()
-				defer mu.Unlock()
-				switch {
-				case okOp:
-					latencies = append(latencies, time.Since(opStart))
-				case shed:
-					shedBy[s]++
-				case errors.Is(err, errMismatch):
-					if mismatch == nil {
-						mismatch = fmt.Errorf("open-loop op %d: %w", op, err)
-					}
-				default:
-					streamErrs[s]++
-					if firstErrs[s] == "" {
-						firstErrs[s] = fmt.Sprintf("op %d (conn %d): %v", op, s, err)
-					}
-				}
-			}(op, s)
+	for op := 0; op < offered; op++ {
+		dueAt := start.Add(due(op))
+		if d := time.Until(dueAt); d > 0 {
+			time.Sleep(d)
 		}
+		wg.Add(1)
+		go func(op int, dueAt time.Time) {
+			defer wg.Done()
+			s := op % cfg.Streams
+			doRoute := wantRoute && (!wantSort || op%2 == 0)
+			faulted := cfg.FaultEvery > 0 && (op+1)%cfg.FaultEvery == 0
+			okOp, shed, err := issue(clients[s], doRoute, faulted, true)
+			elapsed := time.Since(dueAt)
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case okOp:
+				sample = append(sample, elapsed)
+				succeeded++
+			case shed:
+				shedBy[s]++
+				sample = append(sample, MissLatency)
+			case errors.Is(err, errMismatch):
+				if mismatch == nil {
+					mismatch = fmt.Errorf("open-loop op %d: %w", op, err)
+				}
+			default:
+				streamErrs[s]++
+				if firstErrs[s] == "" {
+					firstErrs[s] = fmt.Sprintf("op %d (conn %d): %v", op, s, err)
+				}
+			}
+		}(op, dueAt)
 	}
 	wg.Wait()
 	wall := time.Since(start)
 	if mismatch != nil {
 		return Result{}, mismatch
 	}
-
-	okOps := make([]bool, len(latencies))
-	for i := range okOps {
-		okOps[i] = true
-	}
-	res := assembleNetResult(cfg, wall, latencies, okOps, streamErrs, firstErrs, shedBy)
-	res.TotalOps = offered
-	return res, nil
+	return assembleNetResult(cfg, wall, offered, sample, succeeded, streamErrs, firstErrs, shedBy), nil
 }
 
 // assembleNetResult folds per-stream tallies into a Result.
-func assembleNetResult(cfg NetworkConfig, wall time.Duration, latencies []time.Duration, okOps []bool, streamErrs []int, firstErrs []string, shedBy []int) Result {
-	succeeded := make([]time.Duration, 0, len(latencies))
-	for i, d := range latencies {
-		if okOps[i] {
-			succeeded = append(succeeded, d)
-		}
-	}
+// sample is the latency sample the percentiles are taken over and succeeded
+// the number of successful operations among total.
+func assembleNetResult(cfg NetworkConfig, wall time.Duration, total int, sample []time.Duration, succeeded int, streamErrs []int, firstErrs []string, shedBy []int) Result {
 	failed, shed := 0, 0
 	firstErr := ""
 	for s := range streamErrs {
@@ -425,19 +427,19 @@ func assembleNetResult(cfg NetworkConfig, wall time.Duration, latencies []time.D
 			firstErr = firstErrs[s]
 		}
 	}
-	slices.Sort(succeeded)
+	slices.Sort(sample)
 	return Result{
 		Config:       cfg.Config,
 		Cores:        runtime.NumCPU(),
 		Gomaxprocs:   runtime.GOMAXPROCS(0),
-		TotalOps:     len(latencies),
+		TotalOps:     total,
 		Wall:         wall,
-		OpsPerSec:    float64(len(succeeded)) / wall.Seconds(),
-		P50:          percentile(succeeded, 50),
-		P90:          percentile(succeeded, 90),
-		P99:          percentile(succeeded, 99),
-		P999:         permille(succeeded, 999),
-		SucceededOps: len(succeeded),
+		OpsPerSec:    float64(succeeded) / wall.Seconds(),
+		P50:          percentile(sample, 50),
+		P90:          percentile(sample, 90),
+		P99:          percentile(sample, 99),
+		P999:         permille(sample, 999),
+		SucceededOps: succeeded,
 		FailedOps:    failed,
 		StreamErrors: streamErrs,
 		FirstError:   firstErr,

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"context"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -113,5 +114,46 @@ func TestRunNetworkRejectsMismatchedN(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("n mismatch between run and server not rejected")
+	}
+}
+
+// TestRunOpenLoopSlowHandler drives the open-loop scheduler with a handler
+// far slower than the arrival interval: every due operation must still be
+// offered (exactly Rate × Duration, none dropped behind the slow replies),
+// latencies must run from the due time, and sheds must land in the latency
+// sample as misses.
+func TestRunOpenLoopSlowHandler(t *testing.T) {
+	const streams = 3
+	const slow = 30 * time.Millisecond
+	cfg := NetworkConfig{
+		Config:   Config{N: 4, Streams: streams, Workload: "route"},
+		Rate:     200,
+		Duration: 250 * time.Millisecond,
+	}
+	const want = 50 // 200/s × 0.25s
+	var calls atomic.Int32
+	issue := func(_ *service.Client, _, _, _ bool) (bool, bool, error) {
+		call := calls.Add(1)
+		time.Sleep(slow)
+		shed := call%5 == 0
+		return !shed, shed, nil
+	}
+	res, err := runOpenLoop(cfg, make([]*service.Client, streams), issue, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalOps != want || int(calls.Load()) != want {
+		t.Fatalf("offered %d ops (%d issued), want %d", res.TotalOps, calls.Load(), want)
+	}
+	if res.SucceededOps != want*4/5 || res.SheddedOps != want/5 || res.FailedOps != 0 {
+		t.Errorf("ok/shed/failed = %d/%d/%d, want %d/%d/0", res.SucceededOps, res.SheddedOps, res.FailedOps, want*4/5, want/5)
+	}
+	if res.P50 < slow || res.P50 == MissLatency {
+		t.Errorf("p50 %v: want a served latency of at least the handler's %v", res.P50, slow)
+	}
+	// A fifth of the sample is shed, so the p90 and everything above it
+	// read as misses.
+	if res.P90 != MissLatency || res.P999 != MissLatency {
+		t.Errorf("p90 %v, p999 %v: sheds must count as latency misses", res.P90, res.P999)
 	}
 }
