@@ -305,8 +305,8 @@ func BenchmarkSortCachedHit(b *testing.B) {
 
 // BenchmarkSparseRoute measures the sparse demand path end to end: the
 // O(n)-message frontier instance (workload.ScaleSparseRoute) issued
-// repeatedly on one long-lived WithSparsePath handle, planned by
-// AlgorithmAuto and executed by the step executors. cmd/benchguard holds
+// repeatedly on one long-lived handle, planned by AlgorithmAuto and
+// executed by the step executors. cmd/benchguard holds
 // allocs/op to the committed baseline, so a dense O(n²) structure creeping
 // back into the sparse pipeline is caught at small n long before the
 // frontier guard would see it at n=16384.
@@ -319,7 +319,7 @@ func BenchmarkSparseRoute(b *testing.B) {
 		}
 		msgs := instanceMessages(ri)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			cl, err := New(n, WithSparsePath())
+			cl, err := New(n)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -346,7 +346,7 @@ func BenchmarkSparseSort(b *testing.B) {
 	for _, n := range []int{64, 256} {
 		values := workload.ScalePresortedValues(n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			cl, err := New(n, WithSparsePath())
+			cl, err := New(n)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -73,13 +73,10 @@ func TestBroadcastGate(t *testing.T) {
 			}
 		}
 
-		// The sparse handle must agree bit for bit on both sides of the gate
-		// (broadcast runs on the step executors, the rejected shape falls
-		// back to the dense pipeline).
-		sparse, err := Route(n, msgs, WithAlgorithm(AlgorithmAuto), WithSparsePath())
-		if err != nil {
-			t.Fatalf("over=%v: sparse: %v", over, err)
-		}
-		routeResultEqual(t, "sparse-path gate", sparse, auto)
+		// With the census charged, both sides of the gate still deliver
+		// Deterministic's output in the census plus the arm's rounds
+		// (broadcast on the step executors, the rejected shape on the
+		// pipeline after the census driven over ExchangeFlat).
+		checkAutoRoute(t, fmt.Sprintf("gate over=%v/census", over), n, msgs, true, WithChargedCensus())
 	}
 }

@@ -1,21 +1,25 @@
 package main
 
-// The scale-out frontier curve (cliquebench -scaling-json): full Route and
-// Sort protocol runs on the sparse demand path at n up to 16384, recording
-// wall time, allocation figures, process peak RSS and the model cost (rounds,
-// total words) per point. At every size where the dense scheduler is still
-// affordable the sparse output is cross-checked element by element against
-// it, so the curve doubles as a correctness pin. Results merge into the
-// scaling section of BENCH_protocol.json by (op, n), preserving every other
-// section of the document.
+// The scale-out frontier curve (cliquebench -scaling-json): full
+// AlgorithmAuto Route and Sort protocol runs on sparse demand at n up to
+// 16384, recording wall time, allocation figures, process peak RSS and the
+// model cost (rounds, total words) per point. At every size where the
+// Deterministic pipeline is still affordable the output is checked with
+// internal/verify and compared element by element against the Deterministic
+// handle's, so the curve doubles as a correctness pin. Results merge into
+// the scaling section of BENCH_protocol.json by (op, n), preserving every
+// other section of the document.
 
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 
 	cc "congestedclique"
 
+	"congestedclique/internal/core"
 	"congestedclique/internal/experiments"
+	"congestedclique/internal/verify"
 	"congestedclique/internal/workload"
 )
 
@@ -24,9 +28,9 @@ import (
 // after completing size n".
 var scalingSizes = []int{256, 1024, 4096, 16384}
 
-// denseCrossCheckMaxN bounds the sizes where the dense scheduler (O(n²)
-// demand matrix) is run alongside the sparse path for verification.
-const denseCrossCheckMaxN = 1024
+// crossCheckMaxN bounds the sizes where the Deterministic pipeline (O(n²)
+// per-round scratch) is run alongside AlgorithmAuto for verification.
+const crossCheckMaxN = 1024
 
 // scalingMessages converts a workload routing instance to the public message
 // type.
@@ -69,8 +73,7 @@ func scalingOps(n int) ([]scalingOp, error) {
 }
 
 // rowsEqual compares per-node output rows, treating absent and empty rows as
-// equal (the dense and sparse schedulers may differ in which they produce
-// for inactive nodes).
+// equal.
 func rowsEqual[T any](a, b [][]T) bool {
 	if len(a) != len(b) {
 		return false
@@ -86,61 +89,44 @@ func rowsEqual[T any](a, b [][]T) bool {
 	return true
 }
 
-// measureScaling runs one frontier point: a verification/warm-up pass (with
-// the dense cross-check when n allows it) followed by iters timed runs
-// through the shared measurement helper.
-func measureScaling(n, iters int, o scalingOp) (experiments.ScalingBench, error) {
-	sparseOpts := []cc.Option{cc.WithAlgorithm(cc.AlgorithmAuto), cc.WithSparsePath()}
+// measureScaling runs one frontier point: a warm-up pass followed by iters
+// timed runs through the shared measurement helper. When n allows the
+// cross-check it also returns one over the warm-up pass's output, for the
+// caller to run once every point is measured.
+func measureScaling(n, iters int, o scalingOp) (experiments.ScalingBench, func() error, error) {
+	auto := cc.WithAlgorithm(cc.AlgorithmAuto)
 	var strategy string
 	var stats cc.Stats
-	verified := false
-
-	// Warm-up pass doubling as the correctness pin.
+	var check func() error
 	if o.route != nil {
-		sres, err := cc.Route(n, o.route, sparseOpts...)
+		res, err := cc.Route(n, o.route, auto)
 		if err != nil {
-			return experiments.ScalingBench{}, err
+			return experiments.ScalingBench{}, nil, err
 		}
-		strategy, stats = sres.Strategy.String(), sres.Stats
-		if n <= denseCrossCheckMaxN {
-			dres, err := cc.Route(n, o.route, cc.WithAlgorithm(cc.AlgorithmAuto))
-			if err != nil {
-				return experiments.ScalingBench{}, fmt.Errorf("dense cross-check: %w", err)
-			}
-			if sres.Strategy != dres.Strategy || sres.Stats != dres.Stats || !rowsEqual(sres.Delivered, dres.Delivered) {
-				return experiments.ScalingBench{}, fmt.Errorf("sparse path diverges from dense scheduler (%s n=%d)", o.op, n)
-			}
-			verified = true
-		}
+		strategy, stats = res.Strategy.String(), res.Stats
+		check = func() error { return crossCheckRoute(n, o.route, res) }
 	} else {
-		sres, err := cc.Sort(n, o.values, sparseOpts...)
+		res, err := cc.Sort(n, o.values, auto)
 		if err != nil {
-			return experiments.ScalingBench{}, err
+			return experiments.ScalingBench{}, nil, err
 		}
-		strategy, stats = sres.Strategy.String(), sres.Stats
-		if n <= denseCrossCheckMaxN {
-			dres, err := cc.Sort(n, o.values, cc.WithAlgorithm(cc.AlgorithmAuto))
-			if err != nil {
-				return experiments.ScalingBench{}, fmt.Errorf("dense cross-check: %w", err)
-			}
-			if sres.Strategy != dres.Strategy || sres.Stats != dres.Stats || sres.Total != dres.Total ||
-				!reflect.DeepEqual(sres.Starts, dres.Starts) || !rowsEqual(sres.Batches, dres.Batches) {
-				return experiments.ScalingBench{}, fmt.Errorf("sparse path diverges from dense scheduler (%s n=%d)", o.op, n)
-			}
-			verified = true
-		}
+		strategy, stats = res.Strategy.String(), res.Stats
+		check = func() error { return crossCheckSort(n, o.values, res) }
+	}
+	if n > crossCheckMaxN {
+		check = nil
 	}
 
 	m, err := experiments.MeasureOp(iters, func() error {
 		if o.route != nil {
-			_, opErr := cc.Route(n, o.route, sparseOpts...)
+			_, opErr := cc.Route(n, o.route, auto)
 			return opErr
 		}
-		_, opErr := cc.Sort(n, o.values, sparseOpts...)
+		_, opErr := cc.Sort(n, o.values, auto)
 		return opErr
 	})
 	if err != nil {
-		return experiments.ScalingBench{}, err
+		return experiments.ScalingBench{}, nil, err
 	}
 	return experiments.ScalingBench{
 		Op:            o.op,
@@ -154,8 +140,61 @@ func measureScaling(n, iters int, o scalingOp) (experiments.ScalingBench, error)
 		AllocsPerOp:   m.AllocsPerOp,
 		BytesPerOp:    m.BytesPerOp,
 		PeakRSSBytes:  experiments.PeakRSSBytes(),
-		Verified:      verified,
-	}, nil
+	}, check, nil
+}
+
+// crossCheckRoute verifies an AlgorithmAuto route result with
+// internal/verify and against the Deterministic handle's deliveries.
+func crossCheckRoute(n int, msgs [][]cc.Message, res *cc.RouteResult) error {
+	toCore := func(rows [][]cc.Message) [][]core.Message {
+		out := make([][]core.Message, n)
+		for i, row := range rows {
+			for _, m := range row {
+				out[i] = append(out[i], core.Message{Src: m.Src, Dst: m.Dst, Seq: m.Seq, Payload: m.Payload})
+			}
+		}
+		return out
+	}
+	if err := verify.Routing(toCore(msgs), toCore(res.Delivered)); err != nil {
+		return err
+	}
+	det, err := cc.Route(n, msgs)
+	if err != nil {
+		return fmt.Errorf("deterministic cross-check: %w", err)
+	}
+	if !rowsEqual(res.Delivered, det.Delivered) {
+		return fmt.Errorf("AlgorithmAuto deliveries diverge from the Deterministic pipeline")
+	}
+	return nil
+}
+
+// crossCheckSort verifies an AlgorithmAuto sort result with internal/verify
+// and against the Deterministic handle's batches.
+func crossCheckSort(n int, values [][]int64, res *cc.SortResult) error {
+	input := make([][]core.Key, n)
+	for i, row := range values {
+		for j, v := range row {
+			input[i] = append(input[i], core.Key{Value: v, Origin: i, Seq: j})
+		}
+	}
+	results := make([]*core.SortResult, n)
+	for i := range results {
+		results[i] = &core.SortResult{Start: res.Starts[i], Total: res.Total}
+		for _, k := range res.Batches[i] {
+			results[i].Batch = append(results[i].Batch, core.Key{Value: k.Value, Origin: k.Origin, Seq: k.Seq})
+		}
+	}
+	if err := verify.Sorting(input, results); err != nil {
+		return err
+	}
+	det, err := cc.Sort(n, values)
+	if err != nil {
+		return fmt.Errorf("deterministic cross-check: %w", err)
+	}
+	if res.Total != det.Total || !reflect.DeepEqual(res.Starts, det.Starts) || !rowsEqual(res.Batches, det.Batches) {
+		return fmt.Errorf("AlgorithmAuto batches diverge from the Deterministic pipeline")
+	}
+	return nil
 }
 
 // runScalingBench measures the scale-out frontier at every size up to maxN
@@ -176,13 +215,18 @@ func runScalingBench(path string, maxN int) error {
 	}
 	sec.Tool = "cliquebench -scaling-json"
 	sec.Schema = "congestedclique/bench-scaling/v1"
-	sec.Note = "full sparse-path protocol runs (AlgorithmAuto + WithSparsePath, one-shot handles) per point; " +
-		"peak_rss_bytes is the process VmHWM sampled after the point and is monotone across one invocation " +
-		"(sizes run ascending, so it reads as peak RSS after completing size n); verified means the sparse " +
-		"delivery was compared element by element against the dense scheduler on the identical instance, " +
-		"done at every n <= 1024 where the dense O(n^2) demand matrix is affordable; single-core container " +
-		"(GOMAXPROCS=1), so wall times show the simulation's sequential cost, not protocol parallelism"
+	sec.Note = fmt.Sprintf("full AlgorithmAuto protocol runs (one-shot handles) per point; "+
+		"peak_rss_bytes is the process VmHWM sampled after the point and is monotone across one invocation "+
+		"(sizes run ascending, so it reads as peak RSS after completing size n); verified means the output "+
+		"passed internal/verify and matched the Deterministic pipeline's element by element on the identical "+
+		"instance, done at every n <= %d where the pipeline's O(n^2) scratch is affordable; measured with "+
+		"%d CPUs, GOMAXPROCS=%d", crossCheckMaxN, runtime.NumCPU(), runtime.GOMAXPROCS(0))
 
+	type point struct {
+		run   experiments.ScalingBench
+		check func() error
+	}
+	var points []point
 	for _, n := range scalingSizes {
 		if n > maxN {
 			continue
@@ -196,15 +240,28 @@ func runScalingBench(path string, maxN int) error {
 			iters = 1
 		}
 		for _, o := range ops {
-			run, err := measureScaling(n, iters, o)
+			run, check, err := measureScaling(n, iters, o)
 			if err != nil {
 				return fmt.Errorf("%s n=%d: %w", o.op, n, err)
 			}
-			sec.MergeScalingRun(run)
-			fmt.Printf("scaling %-16s n=%-6d %-10s rounds=%-2d words=%-8d %12d ns/op %10d B/op %8d allocs/op rss=%d MiB verified=%v\n",
-				run.Op, run.N, run.Strategy, run.Rounds, run.TotalWords,
-				run.NsPerOp, run.BytesPerOp, run.AllocsPerOp, run.PeakRSSBytes>>20, run.Verified)
+			points = append(points, point{run, check})
 		}
+	}
+	// Cross-check only after every point is measured: the Deterministic
+	// pipeline's O(n²) scratch would otherwise raise the peak RSS every
+	// later point records.
+	for _, p := range points {
+		run := p.run
+		if p.check != nil {
+			if err := p.check(); err != nil {
+				return fmt.Errorf("%s n=%d: %w", run.Op, run.N, err)
+			}
+			run.Verified = true
+		}
+		sec.MergeScalingRun(run)
+		fmt.Printf("scaling %-16s n=%-6d %-10s rounds=%-2d words=%-8d %12d ns/op %10d B/op %8d allocs/op rss=%d MiB verified=%v\n",
+			run.Op, run.N, run.Strategy, run.Rounds, run.TotalWords,
+			run.NsPerOp, run.BytesPerOp, run.AllocsPerOp, run.PeakRSSBytes>>20, run.Verified)
 	}
 	prev.Scaling = sec
 	return experiments.WriteProtocolDoc(path, prev)

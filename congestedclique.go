@@ -456,10 +456,6 @@ type config struct {
 	// operation (WithChargedCensus; also implied by planCacheCap > 0).
 	// Handle-scoped.
 	census bool
-	// sparsePath routes AlgorithmAuto operations whose plan admits it
-	// through the sparse step-mode executors (WithSparsePath).
-	// Handle-scoped.
-	sparsePath bool
 	// handleScoped is set to the option's name by every handle-scoped option
 	// so that per-call application can reject it with a useful message. It is
 	// reset before call options are applied and ignored by New.
@@ -617,22 +613,18 @@ func WithChargedCensus() Option {
 	}
 }
 
-// WithSparsePath executes AlgorithmAuto operations on the sparse scale-out
-// path whenever the plan admits it: the instance is converted to a
-// per-source adjacency (internal/core.SparseDemand), planned without dense
-// matrices, and — for the empty, direct and broadcast routing strategies and
-// the empty and presorted sorting strategies — executed as a step program on
-// the engine-driven worker-pool scheduler, so no per-node goroutine stack or
-// length-n per-node buffer exists. Results, stats, and the charged census
-// wire format are bit-identical to the default path on every instance both
-// can run; plans the sparse executors do not cover (the full-load pipeline
-// arms) fall back to the blocking path transparently. This is the switch
-// that takes Route and Sort to n in the tens of thousands on sparse
-// instances (see docs/PERFORMANCE.md, "Scaling curve"). Handle-scoped: pass
-// it to New.
+// WithSparsePath is accepted for compatibility and changes nothing: every
+// AlgorithmAuto handle runs the empty, direct and broadcast routing arms and
+// the empty and presorted sorting arms as step programs on the
+// engine-driven worker-pool scheduler, with no per-node goroutine stack or
+// length-n per-node buffer, which is what takes Route and Sort to n in the
+// tens of thousands on sparse instances (see docs/PERFORMANCE.md, "Scaling
+// curve"). Handle-scoped: pass it to New.
+//
+// Deprecated: the sparse path is the only AlgorithmAuto path; drop the
+// option.
 func WithSparsePath() Option {
 	return func(c *config) error {
-		c.sparsePath = true
 		c.handleScoped = "WithSparsePath"
 		return nil
 	}

@@ -86,9 +86,18 @@ func TestRouteValidation(t *testing.T) {
 	if _, err := Route(4, bad); !errors.Is(err, ErrInvalidInstance) {
 		t.Fatalf("wrong source: %v", err)
 	}
-	bad = [][]Message{{{Src: 0, Dst: 9, Seq: 0}}}
-	if _, err := Route(4, bad); !errors.Is(err, ErrInvalidInstance) {
-		t.Fatalf("bad destination: %v", err)
+	for _, dst := range []int{9, 4, -1} {
+		bad = [][]Message{{{Src: 0, Dst: dst, Seq: 0}}}
+		if _, err := Route(4, bad); !errors.Is(err, ErrInvalidInstance) {
+			t.Fatalf("bad destination %d: %v", dst, err)
+		}
+		if _, err := Route(4, bad, WithAlgorithm(AlgorithmAuto)); !errors.Is(err, ErrInvalidInstance) {
+			t.Fatalf("bad destination %d under AlgorithmAuto: %v", dst, err)
+		}
+	}
+	bad = [][]Message{{{Src: 1, Dst: 2, Seq: 0}}}
+	if _, err := Route(4, bad, WithAlgorithm(AlgorithmAuto)); !errors.Is(err, ErrInvalidInstance) {
+		t.Fatalf("wrong source under AlgorithmAuto: %v", err)
 	}
 	bad = [][]Message{{{Src: 0, Dst: 1, Seq: 0}, {Src: 0, Dst: 1, Seq: 0}}}
 	if _, err := Route(4, bad); !errors.Is(err, ErrInvalidInstance) {

@@ -48,6 +48,14 @@ import (
 // every node verifies both. The costs of a full distributed verdict would be
 // the §6.3 machinery itself — the honesty note in planner_sort.go spells
 // this out.
+//
+// Each census is written once, as step code: census round r is one call
+// with the inbox of round r-1, and the verdict check reads the inbox of the
+// last census round. The step executors (sparse_route.go, sparse_sort.go)
+// call it from their own steps; the blocking pipeline and small-domain arms
+// run it through driveCensus over ExchangeFlat. Both schedulers therefore
+// put the same words on the same edges in the same rounds and fail with the
+// same errors.
 
 // Census round and word costs, referenced by tests and docs.
 const (
@@ -80,82 +88,76 @@ func routeStrategyFromCensus(n, total, maxPairMult, activeSources, relayRounds i
 	}
 }
 
-// runRouteCensus executes one node's part of the charged route census and
-// verifies the distributed verdict against the plan. Any disagreement —
-// strategy, relay rounds, or cache fingerprint — is an error: the plan does
-// not match the instance the nodes are actually holding.
-func runRouteCensus(ex clique.Exchanger, msgs []Message, plan RoutePlan) error {
-	n := ex.N()
+// driveCensus runs a census on the blocking scheduler: rounds exchanges over
+// ExchangeFlat, each preceded by that round's step, then the verdict check
+// on the last inbox. label prefixes engine failures of the exchanges.
+func driveCensus(ex clique.FlatExchanger, label string, rounds int,
+	step func(round int, inbox clique.FlatInbox) error, verify func(inbox clique.FlatInbox) error) error {
+	var inbox clique.FlatInbox
+	for round := 0; round < rounds; round++ {
+		if err := step(round, inbox); err != nil {
+			return err
+		}
+		var err error
+		if inbox, err = ex.ExchangeFlat(); err != nil {
+			return fmt.Errorf("%s: %w", label, err)
+		}
+	}
+	return verify(inbox)
+}
 
-	// R1: transpose the demand counts so every node learns its receive total.
-	cnt := make([]int, n)
-	rowPairMax := 0
-	for _, m := range msgs {
-		if m.Dst < 0 || m.Dst >= n {
-			return fmt.Errorf("core: census: destination %d out of range", m.Dst)
-		}
-		cnt[m.Dst]++
-		if cnt[m.Dst] > rowPairMax {
-			rowPairMax = cnt[m.Dst]
-		}
-	}
-	// One backing buffer for all R1 sends: the engine copies payloads at
-	// delivery, and the capacity-n pre-allocation means the views handed to
-	// Send stay valid (append never reallocates).
-	sendBuf := make([]clique.Word, 0, n)
-	for dst, v := range cnt {
-		if v > 0 {
-			sendBuf = append(sendBuf, clique.Word(v))
-			ex.Send(dst, clique.Packet(sendBuf[len(sendBuf)-1:]))
-		}
-	}
-	inbox, err := ex.Exchange()
-	if err != nil {
-		return fmt.Errorf("core: census: %w", err)
-	}
-	recvTotal := 0
-	for _, packets := range inbox {
-		for _, p := range packets {
+// routeCensusStep executes route census round 0, 1 or 2 at one node.
+func routeCensusStep(ex clique.Exchanger, plan *RoutePlan, row routeRow, round int, inbox clique.FlatInbox) error {
+	switch round {
+	case 0:
+		// R1: transpose the demand counts, one word per busy destination.
+		// One backing buffer for all sends: the engine copies payloads at
+		// delivery, and the exact pre-allocation means append never
+		// reallocates under the views handed to Send.
+		buf := make([]clique.Word, 0, len(row.msgs))
+		row.eachDst(func(dst int, run []int32) {
+			buf = append(buf, clique.Word(len(run)))
+			ex.Send(dst, clique.Packet(buf[len(buf)-1:]))
+		})
+	case 1:
+		// Decode R1, report aggregates to node 0. The row hash is the
+		// order-sensitive FNV fold over this node's destination sequence —
+		// the same function the host-side fingerprint uses per row.
+		recvTotal := 0
+		for _, p := range inbox.Records() {
 			if len(p) < 1 {
 				return fmt.Errorf("core: census: malformed count message")
 			}
 			recvTotal += int(p[0])
 		}
-	}
-
-	// R2: every node reports its aggregates to node 0. The row hash is the
-	// order-sensitive FNV fold over this node's destination sequence — the
-	// same function the host-side fingerprint uses per row.
-	ex.Send(0, clique.Packet{
-		clique.Word(len(msgs)),
-		clique.Word(recvTotal),
-		clique.Word(rowPairMax),
-		clique.Word(routeRowHash(msgs)),
-	})
-	inbox, err = ex.Exchange()
-	if err != nil {
-		return fmt.Errorf("core: census: %w", err)
-	}
-
-	// R3: node 0 folds the fingerprint, recomputes the dispatch and
-	// broadcasts the verdict.
-	if ex.ID() == 0 {
+		rowPairMax := 0
+		row.eachDst(func(_ int, run []int32) { rowPairMax = max(rowPairMax, len(run)) })
+		ex.Send(0, clique.Packet{
+			clique.Word(len(row.msgs)),
+			clique.Word(recvTotal),
+			clique.Word(rowPairMax),
+			clique.Word(routeRowHash(row.msgs)),
+		})
+	case 2:
+		// Node 0 folds the fingerprint, recomputes the dispatch and
+		// broadcasts the verdict.
+		if ex.ID() != 0 {
+			return nil
+		}
+		n := plan.N
 		total, maxPair, activeSources := 0, 0, 0
 		h := uint64(fnvOffset64)
-		for from := 0; from < n; from++ {
-			if len(inbox[from]) != 1 || len(inbox[from][0]) != 4 {
-				return fmt.Errorf("core: census: node 0 missing aggregate from node %d", from)
-			}
-			p := inbox[from][0]
+		missing := eachAggregate(inbox, n, 4, func(p clique.Packet) {
 			sendTotal := int(p[0])
 			total += sendTotal
 			if sendTotal > 0 {
 				activeSources++
 			}
-			if int(p[2]) > maxPair {
-				maxPair = int(p[2])
-			}
+			maxPair = max(maxPair, int(p[2]))
 			h = foldRows(h, sendTotal, uint64(p[3]))
+		})
+		if missing >= 0 {
+			return fmt.Errorf("core: census: node 0 missing aggregate from node %d", missing)
 		}
 		strategy := routeStrategyFromCensus(n, total, maxPair, activeSources, plan.relayRoundsCensus)
 		verdict := clique.Packet{clique.Word(strategy), clique.Word(plan.relayRoundsCensus), clique.Word(h)}
@@ -163,71 +165,115 @@ func runRouteCensus(ex clique.Exchanger, msgs []Message, plan RoutePlan) error {
 			ex.Send(to, verdict)
 		}
 	}
-	inbox, err = ex.Exchange()
-	if err != nil {
-		return fmt.Errorf("core: census: %w", err)
+	return nil
+}
+
+// routeCensusVerify checks node id's copy of the broadcast verdict against
+// the plan. Any disagreement — strategy, relay rounds, or cache fingerprint
+// — is an error: the plan does not match the instance the nodes hold.
+func routeCensusVerify(id int, plan *RoutePlan, inbox clique.FlatInbox) error {
+	verdict := soleFrom(inbox, 0)
+	if len(verdict) != 3 {
+		return fmt.Errorf("core: census: node %d missing verdict broadcast", id)
 	}
-	if len(inbox[0]) != 1 || len(inbox[0][0]) != 3 {
-		return fmt.Errorf("core: census: node %d missing verdict broadcast", ex.ID())
-	}
-	verdict := inbox[0][0]
 	if RouteStrategy(verdict[0]) != plan.Strategy {
 		return fmt.Errorf("core: census: distributed verdict %v disagrees with plan %v at node %d",
-			RouteStrategy(verdict[0]), plan.Strategy, ex.ID())
+			RouteStrategy(verdict[0]), plan.Strategy, id)
 	}
 	if int(verdict[1]) != plan.relayRoundsCensus {
 		return fmt.Errorf("core: census: relay rounds %d disagree with plan %d", int(verdict[1]), plan.relayRoundsCensus)
 	}
 	if plan.CensusHasFP && uint64(verdict[2]) != plan.CensusFP {
 		return fmt.Errorf("core: census: instance fingerprint %x disagrees with plan fingerprint %x at node %d",
-			uint64(verdict[2]), plan.CensusFP, ex.ID())
+			uint64(verdict[2]), plan.CensusFP, id)
 	}
 	return nil
 }
 
-// runSortCensus executes one node's part of the charged sort census: a
-// two-round fingerprint agreement plus verdict broadcast (see the file
-// comment for why the sort verdict itself is echoed, not re-derived).
-func runSortCensus(ex clique.Exchanger, myKeys []Key, plan SortPlan) error {
-	n := ex.N()
-
-	// R1: every node reports (count, row hash) to node 0.
-	ex.Send(0, clique.Packet{clique.Word(len(myKeys)), clique.Word(sortRowHash(myKeys))})
-	inbox, err := ex.Exchange()
-	if err != nil {
-		return fmt.Errorf("core: sort census: %w", err)
-	}
-
-	// R2: node 0 folds and broadcasts [strategy, fingerprint].
-	if ex.ID() == 0 {
+// sortCensusStep executes sort census round 0 or 1 at one node holding row.
+func sortCensusStep(ex clique.Exchanger, plan *SortPlan, row []Key, round int, inbox clique.FlatInbox) error {
+	switch round {
+	case 0:
+		// R1: every node reports (count, row hash) to node 0.
+		ex.Send(0, clique.Packet{clique.Word(len(row)), clique.Word(sortRowHash(row))})
+	case 1:
+		// R2: node 0 folds and broadcasts [strategy, fingerprint].
+		if ex.ID() != 0 {
+			return nil
+		}
+		n := plan.N
 		h := uint64(fnvOffset64)
-		for from := 0; from < n; from++ {
-			if len(inbox[from]) != 1 || len(inbox[from][0]) != 2 {
-				return fmt.Errorf("core: sort census: node 0 missing aggregate from node %d", from)
-			}
-			p := inbox[from][0]
+		missing := eachAggregate(inbox, n, 2, func(p clique.Packet) {
 			h = foldRows(h, int(p[0]), uint64(p[1]))
+		})
+		if missing >= 0 {
+			return fmt.Errorf("core: sort census: node 0 missing aggregate from node %d", missing)
 		}
 		verdict := clique.Packet{clique.Word(plan.Strategy), clique.Word(h)}
 		for to := 0; to < n; to++ {
 			ex.Send(to, verdict)
 		}
 	}
-	inbox, err = ex.Exchange()
-	if err != nil {
-		return fmt.Errorf("core: sort census: %w", err)
+	return nil
+}
+
+// sortCensusVerify checks node id's copy of the broadcast sort verdict
+// against the plan.
+func sortCensusVerify(id int, plan *SortPlan, inbox clique.FlatInbox) error {
+	verdict := soleFrom(inbox, 0)
+	if len(verdict) != 2 {
+		return fmt.Errorf("core: sort census: node %d missing verdict broadcast", id)
 	}
-	if len(inbox[0]) != 1 || len(inbox[0][0]) != 2 {
-		return fmt.Errorf("core: sort census: node %d missing verdict broadcast", ex.ID())
-	}
-	verdict := inbox[0][0]
 	if SortStrategy(verdict[0]) != plan.Strategy {
 		return fmt.Errorf("core: sort census: broadcast verdict %v disagrees with plan %v at node %d",
-			SortStrategy(verdict[0]), plan.Strategy, ex.ID())
+			SortStrategy(verdict[0]), plan.Strategy, id)
 	}
 	if plan.CensusHasFP && uint64(verdict[1]) != plan.CensusFP {
 		return fmt.Errorf("core: sort census: instance fingerprint %x disagrees with plan fingerprint %x at node %d",
-			uint64(verdict[1]), plan.CensusFP, ex.ID())
+			uint64(verdict[1]), plan.CensusFP, id)
 	}
 	return nil
+}
+
+// eachAggregate decodes a census aggregation round at node 0: every sender
+// 0..n-1 must have sent exactly one packet of width words, and fold sees
+// those packets in ascending sender order. It returns the first sender
+// without exactly one well-formed packet, or -1 when every sender has one.
+// A single sweep over the records suffices because they arrive in sender
+// order: a record from beyond the next expected sender means that sender
+// sent nothing, and a second record from the last accepted sender means it
+// sent two.
+func eachAggregate(inbox clique.FlatInbox, n, width int, fold func(p clique.Packet)) int {
+	next := 0
+	for from, p := range inbox.Records() {
+		if from != next || len(p) != width {
+			return min(from, next)
+		}
+		fold(p)
+		next++
+	}
+	if next < n {
+		return next
+	}
+	return -1
+}
+
+// soleFrom returns the packet node from sent this round, or nil unless it
+// sent exactly one.
+func soleFrom(inbox clique.FlatInbox, from int) clique.Packet {
+	var sole clique.Packet
+	count := 0
+	for f, p := range inbox.Records() {
+		if f > from {
+			break
+		}
+		if f == from {
+			sole = p
+			count++
+		}
+	}
+	if count != 1 {
+		return nil
+	}
+	return sole
 }

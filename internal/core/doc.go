@@ -12,11 +12,16 @@
 //     rounds (Theorem 4.5),
 //   - the rank-in-union variant, selection and mode (Corollary 4.6),
 //   - the small-key counting protocol of Section 6.3,
-//   - the demand-aware routing planner (planner.go, not part of the paper):
-//     PlanRoute classifies an instance and AutoRoute dispatches it to a
-//     direct-send, scatter/broadcast or zero-round fast path when demand is
-//     sparse or one-to-many, and to the unchanged Theorem 3.7 pipeline
-//     otherwise. The dispatch rule is specified in ARCHITECTURE.md.
+//   - the demand-aware planners (planner.go, planner_sort.go, not part of
+//     the paper): PlanRoute classifies an instance and AutoRoute dispatches
+//     it to a direct-send, scatter/broadcast or zero-round fast path when
+//     demand is sparse or one-to-many, and to the unchanged Theorem 3.7
+//     pipeline otherwise; PlanSort and AutoSort do the same for sorting.
+//     Each arm has one implementation: the fast arms are step programs on
+//     the engine-driven scheduler (sparse_route.go, sparse_sort.go), the
+//     pipeline and small-domain arms run on the blocking one, and the
+//     charged census (census.go) is step code both run. The dispatch rules
+//     are specified in ARCHITECTURE.md.
 //
 // The building blocks mirror the paper's structure: Corollary 3.3 (two-round
 // routing with publicly known demands, relayRoute) and Corollary 3.4

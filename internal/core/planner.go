@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sync"
@@ -162,7 +163,7 @@ type RoutePlan struct {
 
 	// Census arms the charged census protocol (census.go) for this
 	// execution: AutoRoute spends its rounds and words on the wire before
-	// dispatching. CensusHasFP additionally carries the plan-cache
+	// the strategy's own. CensusHasFP additionally carries the plan-cache
 	// fingerprint for distributed agreement; both are per-run execution
 	// state, never part of a cached verdict.
 	Census      bool
@@ -334,141 +335,54 @@ func planRelayRounds(n int, msgs [][]Message, sc *plannerScratch) int {
 	return sc.maxRunOfSortedKeys()
 }
 
-// AutoRoute executes one node's part of a planned routing instance. Every
-// node must pass the same plan (PlanRoute of the same instance) and its own
-// message row; the plan fixes the communication schedule, so no agreement
-// rounds are needed. The output contract matches Route: the messages
-// addressed to this node, sorted by (Src, Dst, Seq).
-func AutoRoute(ex clique.Exchanger, msgs []Message, plan RoutePlan) ([]Message, error) {
-	if plan.N != ex.N() {
-		return nil, fmt.Errorf("core: plan computed for n=%d executed on n=%d", plan.N, ex.N())
+// AutoRoute executes a planned routing instance on nw and is the only
+// executor of the planner's arms. msgs[i] is node i's message row (rows
+// beyond len(msgs) are empty) and plan is PlanRoute of the same instance, or
+// a cached verdict for it, with the per-run census and schedule fields set;
+// node i's deliveries land in outs[i] (len(outs) == n), sorted by (Src, Dst,
+// Seq) as Route's are. The empty, direct and broadcast arms run as step
+// programs on the engine-driven scheduler (RunRoundsContext); the pipeline
+// arm runs on the blocking scheduler (RunContext), after the census when one
+// is armed.
+func AutoRoute(ctx context.Context, nw *clique.Network, msgs [][]Message, plan RoutePlan, outs [][]Message) error {
+	n := nw.N()
+	if plan.N != n {
+		return fmt.Errorf("core: plan computed for n=%d executed on n=%d", plan.N, n)
 	}
-	if plan.Census {
-		if err := runRouteCensus(ex, msgs, plan); err != nil {
-			return nil, err
-		}
+	if len(msgs) > n {
+		return fmt.Errorf("core: %d message rows for n=%d", len(msgs), n)
 	}
-	switch plan.Strategy {
-	case StrategyEmpty:
-		if len(msgs) != 0 {
-			return nil, fmt.Errorf("core: empty plan but node %d holds %d messages", ex.ID(), len(msgs))
-		}
-		return nil, nil
-	case StrategyDirect:
-		return directRoute(ex, msgs)
-	case StrategyBroadcast:
-		return broadcastRoute(ex, msgs, plan.RelayRounds)
-	case StrategyPipeline:
-		return routeWithSchedule(ex, msgs, plan.Sched, plan.Capture)
-	default:
-		return nil, fmt.Errorf("core: unknown route strategy %v", plan.Strategy)
-	}
-}
-
-// directRoute delivers every message straight over its source-destination
-// edge in a single round: all messages sharing one pair are packed into one
-// frame of [seq, payload] pairs sent with SendFramed, so the engine accounts
-// them as individual model messages while the frame stays within
-// DirectFrameWords (the plan guarantees the multiplicity bound; a violation
-// means the plan does not match the instance and is reported as an error).
-func directRoute(ex clique.Exchanger, msgs []Message) ([]Message, error) {
-	n := ex.N()
-	byDst := make([][]Message, n)
-	for _, m := range msgs {
-		if m.Src != ex.ID() {
-			return nil, fmt.Errorf("core: message (%d->%d) submitted by node %d", m.Src, m.Dst, ex.ID())
-		}
-		byDst[m.Dst] = append(byDst[m.Dst], m)
-		if len(byDst[m.Dst]) > DirectMaxMultiplicity {
-			return nil, fmt.Errorf("core: node %d holds %d messages for node %d, the direct plan allows %d",
-				ex.ID(), len(byDst[m.Dst]), m.Dst, DirectMaxMultiplicity)
-		}
-	}
-	for dst, queue := range byDst {
-		if len(queue) == 0 {
-			continue
-		}
-		frame := make(clique.Packet, 0, len(queue)*directWordsPerMessage)
-		for _, m := range queue {
-			frame = append(frame, clique.Word(m.Seq), m.Payload)
-		}
-		ex.SendFramed(dst, frame, len(queue), len(frame))
-	}
-	inbox, err := ex.Exchange()
-	if err != nil {
-		return nil, err
-	}
-	var received []Message
-	for from, packets := range inbox {
-		for _, p := range packets {
-			if len(p)%directWordsPerMessage != 0 {
-				return nil, fmt.Errorf("core: malformed direct frame with %d words", len(p))
+	for src, row := range msgs {
+		for _, m := range row {
+			if m.Src != src {
+				return fmt.Errorf("core: message (%d->%d) submitted by node %d", m.Src, m.Dst, src)
 			}
-			for i := 0; i < len(p); i += directWordsPerMessage {
-				received = append(received, Message{Src: from, Dst: ex.ID(), Seq: int(p[i]), Payload: p[i+1]})
+			if m.Dst < 0 || m.Dst >= n {
+				return fmt.Errorf("core: destination %d out of range (n=%d)", m.Dst, n)
 			}
 		}
 	}
-	sortMessages(received)
-	return received, nil
-}
-
-// broadcastRoute is the one-to-many fast path: message k of this node is
-// scattered to relay (id+k) mod n in one round, then every relay forwards
-// its held messages to their destinations, one message per (relay,
-// destination) edge per round, for exactly relayRounds rounds. Decoded
-// packets are converted to Message values immediately, so nothing aliases
-// engine receive memory past the payload grace window.
-func broadcastRoute(ex clique.Exchanger, msgs []Message, relayRounds int) ([]Message, error) {
-	n := ex.N()
-	for k, m := range msgs {
-		if m.Src != ex.ID() {
-			return nil, fmt.Errorf("core: message (%d->%d) submitted by node %d", m.Src, m.Dst, ex.ID())
-		}
-		ex.Send((ex.ID()+k)%n, clique.Packet{clique.Word(m.Dst), clique.Word(m.Seq), m.Payload})
+	if plan.Strategy != StrategyPipeline {
+		return nw.RunRoundsContext(ctx, newRouteStepRun(msgs, plan, outs).step)
 	}
-	inbox, err := ex.Exchange()
-	if err != nil {
-		return nil, err
-	}
-	held := make([][]Message, n)
-	for from, packets := range inbox {
-		for _, p := range packets {
-			if len(p) < relayWordsPerMessage {
-				return nil, fmt.Errorf("core: malformed scattered message with %d words", len(p))
-			}
-			dst := int(p[0])
-			if dst < 0 || dst >= n {
-				return nil, fmt.Errorf("core: scattered destination %d out of range", dst)
-			}
-			held[dst] = append(held[dst], Message{Src: from, Dst: dst, Seq: int(p[1]), Payload: p[2]})
-			if len(held[dst]) > relayRounds {
-				return nil, fmt.Errorf("core: relay %d holds %d messages for node %d, broadcast plan allows %d",
-					ex.ID(), len(held[dst]), dst, relayRounds)
+	return nw.RunContext(ctx, func(nd *clique.Node) error {
+		var row []Message
+		if nd.ID() < len(msgs) {
+			row = msgs[nd.ID()]
+		}
+		if plan.Census {
+			grouped := routeRow{msgs: row, order: appendDstOrder(nil, row)}
+			err := driveCensus(nd, "core: census", RouteCensusRounds,
+				func(round int, inbox clique.FlatInbox) error {
+					return routeCensusStep(nd, &plan, grouped, round, inbox)
+				},
+				func(inbox clique.FlatInbox) error { return routeCensusVerify(nd.ID(), &plan, inbox) })
+			if err != nil {
+				return err
 			}
 		}
-	}
-	var received []Message
-	for r := 0; r < relayRounds; r++ {
-		for dst, queue := range held {
-			if r < len(queue) {
-				m := queue[r]
-				ex.Send(dst, clique.Packet{clique.Word(m.Src), clique.Word(m.Seq), m.Payload})
-			}
-		}
-		inbox, err := ex.Exchange()
-		if err != nil {
-			return nil, err
-		}
-		for _, packets := range inbox {
-			for _, p := range packets {
-				if len(p) < relayWordsPerMessage {
-					return nil, fmt.Errorf("core: malformed relayed message with %d words", len(p))
-				}
-				received = append(received, Message{Src: int(p[0]), Dst: ex.ID(), Seq: int(p[1]), Payload: p[2]})
-			}
-		}
-	}
-	sortMessages(received)
-	return received, nil
+		out, err := routeWithSchedule(nd, row, plan.Sched, plan.Capture)
+		outs[nd.ID()] = out
+		return err
+	})
 }

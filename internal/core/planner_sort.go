@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -273,61 +274,58 @@ func PlanSort(n int, keys [][]Key) SortPlan {
 	return plan
 }
 
-// AutoSort executes one node's part of a planned sorting instance. Every
-// node must pass the same plan (PlanSort of the same instance) and its own
-// key row; the plan fixes the communication schedule, so no agreement rounds
-// are needed. The output contract matches Sort exactly: node i's batch of
-// the globally sorted sequence, identical to the Deterministic pipeline's
-// bit for bit.
-func AutoSort(ex clique.Exchanger, myKeys []Key, plan SortPlan) (*SortResult, error) {
-	if plan.N != ex.N() {
-		return nil, fmt.Errorf("core: sort plan computed for n=%d executed on n=%d", plan.N, ex.N())
+// AutoSort executes a planned sorting instance on nw and is the only
+// executor of the planner's arms. keys[i] is node i's key row (rows beyond
+// len(keys) are empty) and plan is PlanSort of the same instance, or a
+// cached verdict for it, with the per-run census fields set; node i's batch
+// of the globally sorted sequence lands in results[i] (len(results) == n),
+// identical to the Deterministic pipeline's bit for bit. The empty and
+// presorted arms run as step programs on the engine-driven scheduler
+// (RunRoundsContext); the small-domain and pipeline arms run on the
+// blocking scheduler (RunContext), after the census when one is armed.
+func AutoSort(ctx context.Context, nw *clique.Network, keys [][]Key, plan SortPlan, results []*SortResult) error {
+	n := nw.N()
+	if plan.N != n {
+		return fmt.Errorf("core: sort plan computed for n=%d executed on n=%d", plan.N, n)
 	}
-	if plan.Census && ex.N() > 1 {
-		if err := runSortCensus(ex, myKeys, plan); err != nil {
-			return nil, err
+	if n == 1 {
+		// One node holds the whole instance, so every arm's output is its
+		// local sort: Sort's single-node shortcut, zero rounds, no census.
+		plan.Strategy, plan.Census = SortStrategyPipeline, false
+	}
+	if plan.Strategy == SortStrategyEmpty || plan.Strategy == SortStrategyPresorted {
+		return nw.RunRoundsContext(ctx, newSortStepRun(keys, plan, results).step)
+	}
+	return nw.RunContext(ctx, func(nd *clique.Node) error {
+		var row []Key
+		if nd.ID() < len(keys) {
+			row = keys[nd.ID()]
 		}
-	}
-	if ex.N() == 1 {
-		// Mirror Sort's single-node shortcut for every arm.
-		batch := append([]Key(nil), myKeys...)
-		sortKeys(batch)
-		return &SortResult{Batch: batch, Start: 0, Total: len(batch)}, nil
-	}
-	switch plan.Strategy {
-	case SortStrategyEmpty:
-		if len(myKeys) != 0 {
-			return nil, fmt.Errorf("core: empty sort plan but node %d holds %d keys", ex.ID(), len(myKeys))
+		if plan.Census {
+			err := driveCensus(nd, "core: sort census", SortCensusRounds,
+				func(round int, inbox clique.FlatInbox) error {
+					return sortCensusStep(nd, &plan, row, round, inbox)
+				},
+				func(inbox clique.FlatInbox) error { return sortCensusVerify(nd.ID(), &plan, inbox) })
+			if err != nil {
+				return err
+			}
 		}
-		return &SortResult{}, nil
-	case SortStrategyPresorted:
-		return presortedSort(ex, myKeys, plan)
-	case SortStrategySmallDomain:
-		return smallDomainSort(ex, myKeys, plan)
-	case SortStrategyPipeline:
-		return Sort(ex, myKeys)
-	default:
-		return nil, fmt.Errorf("core: unknown sort strategy %v", plan.Strategy)
-	}
-}
-
-// presortedSort is the skip-redistribution arm: the plan certifies that the
-// rows partition the global order, so after a free local sort this node's
-// run occupies the contiguous global ranks starting at StartRanks[me] and
-// the two dealByRank rounds of Algorithm 4's Step 8 finish the job alone.
-func presortedSort(ex clique.Exchanger, myKeys []Key, plan SortPlan) (*SortResult, error) {
-	c := fullComm(ex, fmt.Sprintf("presorted@r%d", ex.Round()))
-	defer c.release()
-	n := c.size()
-	if len(plan.StartRanks) != n+1 {
-		return nil, fmt.Errorf("core: presorted plan carries %d start ranks for n=%d", len(plan.StartRanks), n)
-	}
-	if got, want := len(myKeys), plan.StartRanks[c.me+1]-plan.StartRanks[c.me]; got != want {
-		return nil, fmt.Errorf("core: presorted plan expected %d keys at node %d, got %d (plan does not match the instance)", want, ex.ID(), got)
-	}
-	run := append([]Key(nil), myKeys...)
-	sortKeys(run)
-	return dealByRank(c, run, plan.StartRanks[c.me], plan.StartRanks[n], "presorted.rank")
+		var (
+			res *SortResult
+			err error
+		)
+		switch plan.Strategy {
+		case SortStrategySmallDomain:
+			res, err = smallDomainSort(nd, row, plan)
+		case SortStrategyPipeline:
+			res, err = Sort(nd, row)
+		default:
+			err = fmt.Errorf("core: unknown sort strategy %v", plan.Strategy)
+		}
+		results[nd.ID()] = res
+		return err
+	})
 }
 
 // smallDomainSort is the Section 6.3 arm: keys take at most

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -35,16 +36,9 @@ func runAutoSort(t *testing.T, keys [][]Key) ([]*SortResult, clique.Metrics) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	results := make([]*SortResult, n)
-	err = nw.Run(func(nd *clique.Node) error {
-		res, sErr := AutoSort(nd, keys[nd.ID()], plan)
-		if sErr != nil {
-			return sErr
-		}
-		results[nd.ID()] = res
-		return nil
-	})
-	if err != nil {
+	if err := AutoSort(context.Background(), nw, keys, plan, results); err != nil {
 		t.Fatal(err)
 	}
 	return results, nw.Metrics()
@@ -326,32 +320,21 @@ func TestAutoSortPlanMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	// Shrink every row after planning: the presorted arm must notice the
-	// StartRanks mismatch (before any communication, so no node blocks on a
-	// barrier its peers never reach).
-	err = nw.Run(func(nd *clique.Node) error {
-		if _, sErr := AutoSort(nd, keys[nd.ID()][:1], plan); sErr == nil {
-			return fmt.Errorf("stale plan accepted at node %d", nd.ID())
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	// StartRanks mismatch before any communication.
+	shrunk := make([][]Key, len(keys))
+	for i := range keys {
+		shrunk[i] = keys[i][:1]
+	}
+	err = AutoSort(context.Background(), nw, shrunk, plan, make([]*SortResult, 16))
+	if want := "core: presorted plan expected 2 keys at node 0, got 1 (plan does not match the instance)"; err == nil || err.Error() != want {
+		t.Fatalf("stale plan: error %v, want %q", err, want)
 	}
 
 	wrong := plan
 	wrong.N = 8
-	nw2, err := clique.New(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = nw2.Run(func(nd *clique.Node) error {
-		if _, sErr := AutoSort(nd, keys[nd.ID()], wrong); sErr == nil {
-			return fmt.Errorf("plan for n=8 accepted on n=16")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	if err := AutoSort(context.Background(), nw, keys, wrong, make([]*SortResult, 16)); err == nil {
+		t.Fatal("plan for n=8 accepted on n=16")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -139,7 +140,8 @@ func TestPlanRouteCensus(t *testing.T) {
 }
 
 // runPlanned executes AutoRoute with the instance's plan on a real engine
-// and verifies exact delivery; it returns the metrics and the plan.
+// and verifies exact delivery and, for the fast arms, the plan's round
+// count; it returns the metrics and the plan.
 func runPlanned(t *testing.T, msgs [][]Message) (clique.Metrics, RoutePlan) {
 	t.Helper()
 	n := len(msgs)
@@ -148,20 +150,17 @@ func runPlanned(t *testing.T, msgs [][]Message) (clique.Metrics, RoutePlan) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	results := make([][]Message, n)
-	err = nw.Run(func(nd *clique.Node) error {
-		out, rErr := AutoRoute(nd, msgs[nd.ID()], plan)
-		if rErr != nil {
-			return rErr
-		}
-		results[nd.ID()] = out
-		return nil
-	})
-	if err != nil {
+	if err := AutoRoute(context.Background(), nw, msgs, plan, results); err != nil {
 		t.Fatal(err)
 	}
 	verifyDelivery(t, msgs, results)
-	return nw.Metrics(), plan
+	m := nw.Metrics()
+	if plan.Strategy != StrategyPipeline && m.Rounds != plan.Rounds() {
+		t.Fatalf("%v arm took %d rounds, the plan advertises %d", plan.Strategy, m.Rounds, plan.Rounds())
+	}
+	return m, plan
 }
 
 func TestDirectRouteDeliversExactly(t *testing.T) {
@@ -263,12 +262,45 @@ func TestAutoRoutePlanMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = nw.Run(func(nd *clique.Node) error {
-		_, rErr := AutoRoute(nd, msgs[nd.ID()], plan)
-		return rErr
-	})
-	if err == nil {
-		t.Fatal("mismatched direct plan did not fail")
+	defer nw.Close()
+	err = AutoRoute(context.Background(), nw, msgs, plan, make([][]Message, n))
+	if want := fmt.Sprintf("core: node 0 holds %d messages for node 1, the direct plan allows %d",
+		DirectMaxMultiplicity+1, DirectMaxMultiplicity); err == nil || err.Error() != want {
+		t.Fatalf("mismatched direct plan: error %v, want %q", err, want)
+	}
+	wrong := PlanRoute(8, nil)
+	if err := AutoRoute(context.Background(), nw, msgs, wrong, make([][]Message, n)); err == nil {
+		t.Fatal("plan for n=8 accepted on n=16")
+	}
+}
+
+// TestAutoRouteRejectsMalformedRows pins AutoRoute's own row checks: a
+// message listed under a foreign source or addressed outside the clique is
+// an error before any round runs.
+func TestAutoRouteRejectsMalformedRows(t *testing.T) {
+	t.Parallel()
+	const n = 8
+	nw, err := clique.New(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	for _, tc := range []struct {
+		msgs [][]Message
+		want string
+	}{
+		{[][]Message{{{Src: 1, Dst: 2}}}, "core: message (1->2) submitted by node 0"},
+		{[][]Message{{{Src: 0, Dst: n}}}, "core: destination 8 out of range (n=8)"},
+		{[][]Message{{{Src: 0, Dst: -1}}}, "core: destination -1 out of range (n=8)"},
+		{make([][]Message, n+1), "core: 9 message rows for n=8"},
+	} {
+		err := AutoRoute(context.Background(), nw, tc.msgs, PlanRoute(n, nil), make([][]Message, n))
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("rows %v: error %v, want %q", tc.msgs, err, tc.want)
+		}
+		if r := nw.Metrics().Rounds; r != 0 {
+			t.Errorf("rows %v: %d rounds ran before the rejection", tc.msgs, r)
+		}
 	}
 }
 

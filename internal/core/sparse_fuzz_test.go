@@ -1,16 +1,16 @@
-package core
+package core_test
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"congestedclique/internal/clique"
+	"congestedclique/internal/core"
 )
 
 // fuzzSparseInstance generates a random Problem 3.1 instance (per-source and
 // per-sink loads capped at n) from the fuzzed parameters.
-func fuzzSparseInstance(seed int64, nRaw, perRaw uint8, concentrate, ragged bool) (int, [][]Message) {
+func fuzzSparseInstance(seed int64, nRaw, perRaw uint8, concentrate, ragged bool) (int, [][]core.Message) {
 	n := 8 + int(nRaw)%57 // 8..64
 	per := int(perRaw) % (n + 1)
 	rng := rand.New(rand.NewSource(seed))
@@ -18,7 +18,7 @@ func fuzzSparseInstance(seed int64, nRaw, perRaw uint8, concentrate, ragged bool
 	if ragged {
 		rows = 1 + rng.Intn(n)
 	}
-	msgs := make([][]Message, rows)
+	msgs := make([][]core.Message, rows)
 	recv := make([]int, n)
 	for src := 0; src < rows; src++ {
 		count := rng.Intn(per + 1)
@@ -31,56 +31,15 @@ func fuzzSparseInstance(seed int64, nRaw, perRaw uint8, concentrate, ragged bool
 				continue
 			}
 			recv[dst]++
-			msgs[src] = append(msgs[src], Message{Src: src, Dst: dst, Seq: len(msgs[src]), Payload: clique.Word(rng.Int63n(1 << 40))})
+			msgs[src] = append(msgs[src], core.Message{Src: src, Dst: dst, Seq: len(msgs[src]), Payload: clique.Word(rng.Int63n(1 << 40))})
 		}
 	}
 	return n, msgs
 }
 
-// FuzzSparseRoundTrip checks that the sparse demand representation is
-// lossless: rows round-trip exactly, totals agree, the fingerprint matches
-// the dense RouteFingerprint and the sparse planner replays PlanRoute.
-func FuzzSparseRoundTrip(f *testing.F) {
-	f.Add(int64(1), uint8(16), uint8(4), false, false)
-	f.Add(int64(2), uint8(9), uint8(0), false, true)
-	f.Add(int64(3), uint8(25), uint8(12), true, false)
-	f.Add(int64(4), uint8(31), uint8(200), true, true)
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, perRaw uint8, concentrate, ragged bool) {
-		n, msgs := fuzzSparseInstance(seed, nRaw, perRaw, concentrate, ragged)
-		sd, err := NewSparseDemand(n, msgs)
-		if err != nil {
-			t.Fatalf("NewSparseDemand: %v", err)
-		}
-		back := sd.Messages()
-		total := 0
-		for i := 0; i < n; i++ {
-			var want []Message
-			if i < len(msgs) {
-				want = msgs[i]
-			}
-			total += len(want)
-			if len(want) == 0 && len(back[i]) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(back[i], want) {
-				t.Fatalf("row %d does not round-trip: got %v want %v", i, back[i], want)
-			}
-		}
-		if sd.Total() != total {
-			t.Fatalf("Total = %d, want %d", sd.Total(), total)
-		}
-		if got, want := sd.Fingerprint(), RouteFingerprint(n, msgs); got != want {
-			t.Fatalf("sparse fingerprint %v != dense %v", got, want)
-		}
-		if got, want := PlanRouteSparse(sd), PlanRoute(n, msgs); !reflect.DeepEqual(got, want) {
-			t.Fatalf("sparse plan %+v != dense plan %+v", got, want)
-		}
-	})
-}
-
-// FuzzSparseRouteMatchesDense executes every sparse-served generated
-// instance on both schedulers and requires bit-identical outputs and
-// metrics.
+// FuzzSparseRouteMatchesDense executes every generated instance through
+// AutoRoute, on whichever arm its plan picks, and requires the Deterministic
+// pipeline's outputs, exact delivery, and the plan's advertised costs.
 func FuzzSparseRouteMatchesDense(f *testing.F) {
 	f.Add(int64(1), uint8(16), uint8(2), false, false)
 	f.Add(int64(2), uint8(9), uint8(1), false, true)
@@ -88,33 +47,10 @@ func FuzzSparseRouteMatchesDense(f *testing.F) {
 	f.Add(int64(4), uint8(31), uint8(3), true, true)
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, perRaw uint8, concentrate, ragged bool) {
 		n, msgs := fuzzSparseInstance(seed, nRaw, perRaw, concentrate, ragged)
-		sd, err := NewSparseDemand(n, msgs)
-		if err != nil {
-			t.Fatalf("NewSparseDemand: %v", err)
+		plan := core.PlanRoute(n, msgs)
+		if seed%2 == 0 {
+			plan = censusPlan(plan, n, msgs, true)
 		}
-		plan := PlanRouteSparse(sd)
-		if !SparseStepCapable(plan.Strategy) {
-			return // pipeline arm: blocking scheduler only
-		}
-		plan.Census = seed%2 == 0
-		if plan.Census {
-			plan.CensusHasFP = true
-			plan.CensusFP = sd.Fingerprint().Hash
-		}
-		wantOut, wantM := runDenseAutoRoute(t, n, msgs, plan)
-		gotOut, gotM := runSparseRoute(t, sd, plan)
-		for i := 0; i < n; i++ {
-			if len(wantOut[i]) == 0 && len(gotOut[i]) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(gotOut[i], wantOut[i]) {
-				t.Fatalf("strategy %v: node %d outputs differ:\n sparse %v\n dense  %v", plan.Strategy, i, gotOut[i], wantOut[i])
-			}
-		}
-		if gotM.Rounds != wantM.Rounds || gotM.TotalWords != wantM.TotalWords ||
-			gotM.TotalMessages != wantM.TotalMessages ||
-			gotM.MaxEdgeWords != wantM.MaxEdgeWords || gotM.MaxEdgeMessages != wantM.MaxEdgeMessages {
-			t.Fatalf("strategy %v: metrics differ:\n sparse %+v\n dense  %+v", plan.Strategy, gotM, wantM)
-		}
+		checkAutoRoute(t, plan.Strategy.String(), n, msgs, plan)
 	})
 }

@@ -7,124 +7,147 @@ import (
 	"congestedclique/internal/clique"
 )
 
-// This file implements the sparse step-mode executor for planned routing
-// instances: the engine-driven (RunRounds) counterpart of AutoRoute for the
-// strategies SparseStepCapable admits — empty, direct and broadcast — plus
-// the charged route census. The wire behaviour is byte-identical to the
-// blocking executors in planner.go and census.go: the same packets and frames
-// on the same edges in the same rounds, the same SendFramed model accounting
-// and the same error strings, so Stats and results match the dense path bit
-// for bit wherever both run. What changes is the cost: no per-node goroutine
-// stack, no length-n per-node slice (directRoute's byDst, broadcastRoute's
-// held, the census count array), and no scan over n senders — every step
+// This file implements the empty, direct and broadcast routing arms, as
+// step programs on the engine-driven (RunRounds) scheduler; AutoRoute sends
+// every instance planned onto them here. They are the only implementation
+// of these arms. A run reads the caller's message rows in place and keeps no
+// per-node goroutine stack and no length-n per-node slice: every step
 // decodes its clique.FlatInbox records in one sweep, so every node's state
 // and per-round work are proportional to its own traffic (node 0's census
 // aggregation is Θ(n) because it receives n packets), and the run's only
 // O(n) allocations are flat index tables.
 //
 // Round mapping. With the census armed, step rounds 0..2 carry the three
-// census exchanges (R1 counts, R2 aggregates, R3 verdict) and the verdict is
-// verified at the start of step round 3, which doubles as the strategy's
-// round 0 — exactly the schedule the blocking path produces with its census
-// exchanges followed by the strategy's own. Strategy rounds:
+// census exchanges (R1 counts, R2 aggregates, R3 verdict; census.go) and the
+// verdict is verified at the start of step round 3, which doubles as the
+// strategy's round 0. Strategy rounds:
 //
 //	direct     round 0: frames out          round 1: decode, done
 //	broadcast  round 0: scatter             round 1: build held, relay 0
 //	           round 1+r: accumulate, relay r (r < RelayRounds)
 //	           round 1+RelayRounds: accumulate, done
 //	empty      round 0: done
-type SparseRouteRun struct {
-	n    int
+type routeStepRun struct {
 	plan RoutePlan
-	sd   *SparseDemand
+	msgs [][]Message
 	off  int // census rounds preceding the strategy phase
 
-	// grouped mirrors sd.Entries with each row stably sorted by destination
-	// (submission order preserved within a destination); built only when the
-	// direct path or the census needs per-destination runs.
-	grouped []SparseEntry
+	// order holds every row's positions stably sorted by destination, rows
+	// concatenated in node order from orderStart; built only when the direct
+	// path or the census walks a row one destination at a time.
+	order      []int32
+	orderStart []int32
 
-	nodes []sparseRouteNode
+	nodes []broadcastNode
 	outs  [][]Message
 }
 
-// sparseRouteNode is the per-node state of a run: census receive total and
-// the broadcast path's held/received accumulators. All slices are sized by
-// the node's own traffic.
-type sparseRouteNode struct {
-	recvTotal int
-
-	held      []Message // broadcast: held messages, grouped by ascending dst
+// broadcastNode is one node's state on the broadcast path: the held and
+// received accumulators, sized by the node's own traffic.
+type broadcastNode struct {
+	held      []Message // held messages, grouped by ascending dst
 	heldStart []int32   // group boundaries into held
 	received  []Message
 	relayBuf  []clique.Word
 }
 
-// NewSparseRouteRun prepares a step-mode execution of plan over sd. The plan
-// must be PlanRouteSparse (equivalently PlanRoute) of the same instance and
-// its strategy must be SparseStepCapable.
-func NewSparseRouteRun(sd *SparseDemand, plan RoutePlan) (*SparseRouteRun, error) {
-	if !SparseStepCapable(plan.Strategy) {
-		return nil, fmt.Errorf("core: sparse route: strategy %v requires the blocking scheduler", plan.Strategy)
+// routeRow is one node's message row together with its destination order.
+type routeRow struct {
+	msgs  []Message
+	order []int32 // positions of msgs stably sorted by destination
+}
+
+// eachDst calls f once per destination of the row, ascending, with the
+// positions of the messages bound there in submission order.
+func (r routeRow) eachDst(f func(dst int, run []int32)) {
+	for i := 0; i < len(r.order); {
+		dst := r.msgs[r.order[i]].Dst
+		j := i + 1
+		for j < len(r.order) && r.msgs[r.order[j]].Dst == dst {
+			j++
+		}
+		f(dst, r.order[i:j])
+		i = j
 	}
-	if plan.N != sd.N() {
-		return nil, fmt.Errorf("core: plan computed for n=%d executed on n=%d", plan.N, sd.N())
+}
+
+// appendDstOrder appends row's positions, stably sorted by destination, to
+// order.
+func appendDstOrder(order []int32, row []Message) []int32 {
+	base := len(order)
+	order = slices.Grow(order, len(row))
+	for i := range row {
+		order = append(order, int32(i))
 	}
-	run := &SparseRouteRun{
-		n:     sd.N(),
-		plan:  plan,
-		sd:    sd,
-		nodes: make([]sparseRouteNode, sd.N()),
-		outs:  make([][]Message, sd.N()),
-	}
+	slices.SortStableFunc(order[base:], func(a, b int32) int { return row[a].Dst - row[b].Dst })
+	return order
+}
+
+// newRouteStepRun prepares a step-mode execution of plan over msgs (indexed
+// by source, rows beyond len(msgs) empty), writing node i's deliveries to
+// outs[i].
+func newRouteStepRun(msgs [][]Message, plan RoutePlan, outs [][]Message) *routeStepRun {
+	n := plan.N
+	run := &routeStepRun{plan: plan, msgs: msgs, outs: outs}
 	if plan.Census {
 		run.off = RouteCensusRounds
 	}
+	if plan.Strategy == StrategyBroadcast {
+		run.nodes = make([]broadcastNode, n)
+	}
 	if plan.Census || plan.Strategy == StrategyDirect {
-		run.grouped = make([]SparseEntry, len(sd.Entries))
-		copy(run.grouped, sd.Entries)
-		for r := range sd.Sources {
-			seg := run.grouped[sd.RowStart[r]:sd.RowStart[r+1]]
-			slices.SortStableFunc(seg, func(a, b SparseEntry) int { return int(a.Dst) - int(b.Dst) })
+		total := 0
+		for _, row := range msgs {
+			total += len(row)
 		}
+		run.order = make([]int32, 0, total)
+		run.orderStart = make([]int32, n+1)
+		for i := 0; i < n; i++ {
+			run.orderStart[i] = int32(len(run.order))
+			run.order = appendDstOrder(run.order, run.row(i))
+		}
+		run.orderStart[n] = int32(len(run.order))
 	}
-	return run, nil
+	return run
 }
 
-// groupedRow returns node's entries sorted by destination (nil when the run
-// did not need grouping or the node is inactive).
-func (run *SparseRouteRun) groupedRow(node int) []SparseEntry {
-	r := run.sd.rowOf[node]
-	if r < 0 || run.grouped == nil {
-		return nil
+// row returns node's messages (nil when it holds none).
+func (run *routeStepRun) row(node int) []Message {
+	if node < len(run.msgs) {
+		return run.msgs[node]
 	}
-	return run.grouped[run.sd.RowStart[r]:run.sd.RowStart[r+1]]
+	return nil
 }
 
-// Output returns the messages delivered to node (sorted by Src, Dst, Seq),
-// valid after the run completes successfully.
-func (run *SparseRouteRun) Output(node int) []Message { return run.outs[node] }
+// grouped returns node's row with its destination order (an empty order
+// when the run did not need one).
+func (run *routeStepRun) grouped(node int) routeRow {
+	r := routeRow{msgs: run.row(node)}
+	if run.order != nil {
+		r.order = run.order[run.orderStart[node]:run.orderStart[node+1]]
+	}
+	return r
+}
 
-// Rounds returns the total step rounds the run will use (census included).
-func (run *SparseRouteRun) Rounds() int { return run.off + run.plan.Rounds() }
-
-// Step is the clique.StepFunc of the run: every node executes it once per
+// step is the clique.StepFunc of the run: every node executes it once per
 // round under RunRounds.
-func (run *SparseRouteRun) Step(nd *clique.Node, round int, inbox clique.FlatInbox) (bool, error) {
+func (run *routeStepRun) step(nd *clique.Node, round int, inbox clique.FlatInbox) (bool, error) {
+	id := nd.ID()
 	if round < run.off {
-		return false, run.censusStep(nd, round, inbox)
+		return false, routeCensusStep(nd, &run.plan, run.grouped(id), round, inbox)
 	}
 	if run.off > 0 && round == run.off {
-		if err := run.censusVerify(nd, inbox); err != nil {
+		if err := routeCensusVerify(id, &run.plan, inbox); err != nil {
 			return true, err
 		}
 	}
 	sround := round - run.off
 	switch run.plan.Strategy {
 	case StrategyEmpty:
-		if row := run.sd.Row(nd.ID()); len(row) != 0 {
-			return true, fmt.Errorf("core: empty plan but node %d holds %d messages", nd.ID(), len(row))
+		if row := run.row(id); len(row) != 0 {
+			return true, fmt.Errorf("core: empty plan but node %d holds %d messages", id, len(row))
 		}
+		run.outs[id] = nil
 		return true, nil
 	case StrategyDirect:
 		return run.directStep(nd, sround, inbox)
@@ -135,180 +158,78 @@ func (run *SparseRouteRun) Step(nd *clique.Node, round int, inbox clique.FlatInb
 	}
 }
 
-// censusStep executes census rounds 0..2: the same three exchanges as
-// runRouteCensus, with the per-destination counts read off the grouped row
-// instead of a dense length-n array.
-func (run *SparseRouteRun) censusStep(nd *clique.Node, round int, inbox clique.FlatInbox) error {
-	n := run.n
+// directStep delivers every message straight over its source-destination
+// edge: in strategy round 0 all messages sharing one pair are packed into
+// one frame of [seq, payload] pairs sent with SendFramed, so the engine
+// accounts them as individual model messages while the frame stays within
+// DirectFrameWords (the plan guarantees the multiplicity bound; a violation
+// means the plan does not match the instance and is reported as an error).
+// Round 1 decodes.
+func (run *routeStepRun) directStep(nd *clique.Node, sround int, inbox clique.FlatInbox) (bool, error) {
 	id := nd.ID()
-	st := &run.nodes[id]
-	switch round {
-	case 0:
-		// R1: transpose the demand counts, one word per busy destination.
-		grouped := run.groupedRow(id)
-		buf := make([]clique.Word, 0, len(grouped))
-		for i := 0; i < len(grouped); {
-			j := i
-			for j < len(grouped) && grouped[j].Dst == grouped[i].Dst {
-				j++
-			}
-			buf = append(buf, clique.Word(j-i))
-			nd.Send(int(grouped[i].Dst), clique.Packet(buf[len(buf)-1:]))
-			i = j
-		}
-	case 1:
-		// Decode R1, report aggregates to node 0.
-		for _, p := range inbox.Records() {
-			if len(p) < 1 {
-				return fmt.Errorf("core: census: malformed count message")
-			}
-			st.recvTotal += int(p[0])
-		}
-		grouped := run.groupedRow(id)
-		rowPairMax := 0
-		for i := 0; i < len(grouped); {
-			j := i
-			for j < len(grouped) && grouped[j].Dst == grouped[i].Dst {
-				j++
-			}
-			if j-i > rowPairMax {
-				rowPairMax = j - i
-			}
-			i = j
-		}
-		row := run.sd.Row(id)
-		nd.Send(0, clique.Packet{
-			clique.Word(len(row)),
-			clique.Word(st.recvTotal),
-			clique.Word(rowPairMax),
-			clique.Word(sparseRowHash(row)),
-		})
-	case 2:
-		// Node 0 folds the fingerprint, recomputes the dispatch and
-		// broadcasts the verdict.
-		if id != 0 {
-			return nil
-		}
-		total, maxPair, activeSources := 0, 0, 0
-		h := uint64(fnvOffset64)
-		missing := eachAggregate(inbox, n, 4, func(p clique.Packet) {
-			sendTotal := int(p[0])
-			total += sendTotal
-			if sendTotal > 0 {
-				activeSources++
-			}
-			if int(p[2]) > maxPair {
-				maxPair = int(p[2])
-			}
-			h = foldRows(h, sendTotal, uint64(p[3]))
-		})
-		if missing >= 0 {
-			return fmt.Errorf("core: census: node 0 missing aggregate from node %d", missing)
-		}
-		strategy := routeStrategyFromCensus(n, total, maxPair, activeSources, run.plan.relayRoundsCensus)
-		verdict := clique.Packet{clique.Word(strategy), clique.Word(run.plan.relayRoundsCensus), clique.Word(h)}
-		for to := 0; to < n; to++ {
-			nd.Send(to, verdict)
-		}
-	}
-	return nil
-}
-
-// censusVerify checks the broadcast verdict against the plan at step round 3,
-// with the exact disagreement diagnostics of the blocking census.
-func (run *SparseRouteRun) censusVerify(nd *clique.Node, inbox clique.FlatInbox) error {
-	plan := run.plan
-	verdict := soleFrom(inbox, 0)
-	if len(verdict) != 3 {
-		return fmt.Errorf("core: census: node %d missing verdict broadcast", nd.ID())
-	}
-	if RouteStrategy(verdict[0]) != plan.Strategy {
-		return fmt.Errorf("core: census: distributed verdict %v disagrees with plan %v at node %d",
-			RouteStrategy(verdict[0]), plan.Strategy, nd.ID())
-	}
-	if int(verdict[1]) != plan.relayRoundsCensus {
-		return fmt.Errorf("core: census: relay rounds %d disagree with plan %d", int(verdict[1]), plan.relayRoundsCensus)
-	}
-	if plan.CensusHasFP && uint64(verdict[2]) != plan.CensusFP {
-		return fmt.Errorf("core: census: instance fingerprint %x disagrees with plan fingerprint %x at node %d",
-			uint64(verdict[2]), plan.CensusFP, nd.ID())
-	}
-	return nil
-}
-
-// directStep is directRoute as a step program: one frame per busy
-// (source, destination) pair in strategy round 0, decode in round 1.
-func (run *SparseRouteRun) directStep(nd *clique.Node, sround int, inbox clique.FlatInbox) (bool, error) {
-	id := nd.ID()
-	switch sround {
-	case 0:
-		grouped := run.groupedRow(id)
-		if len(grouped) == 0 {
-			return false, nil
-		}
+	if sround == 0 {
+		row := run.grouped(id)
 		// One backing buffer for all frames: pre-sized exactly, so appends
 		// never reallocate and the frame views handed to the engine stay
 		// valid until delivery.
-		buf := make([]clique.Word, 0, len(grouped)*directWordsPerMessage)
-		for i := 0; i < len(grouped); {
-			j := i
-			for j < len(grouped) && grouped[j].Dst == grouped[i].Dst {
-				j++
+		buf := make([]clique.Word, 0, len(row.msgs)*directWordsPerMessage)
+		var err error
+		row.eachDst(func(dst int, pos []int32) {
+			if len(pos) > DirectMaxMultiplicity {
+				err = fmt.Errorf("core: node %d holds %d messages for node %d, the direct plan allows %d",
+					id, DirectMaxMultiplicity+1, dst, DirectMaxMultiplicity)
 			}
-			if j-i > DirectMaxMultiplicity {
-				return true, fmt.Errorf("core: node %d holds %d messages for node %d, the direct plan allows %d",
-					id, DirectMaxMultiplicity+1, int(grouped[i].Dst), DirectMaxMultiplicity)
+			if err != nil {
+				return
 			}
-			pos := len(buf)
-			for _, e := range grouped[i:j] {
-				buf = append(buf, clique.Word(e.Seq), e.Payload)
+			start := len(buf)
+			for _, p := range pos {
+				m := row.msgs[p]
+				buf = append(buf, clique.Word(m.Seq), m.Payload)
 			}
-			frame := clique.Packet(buf[pos:len(buf):len(buf)])
-			nd.SendFramed(int(grouped[i].Dst), frame, j-i, len(frame))
-			i = j
-		}
-		return false, nil
-	default:
-		var received []Message
-		for from, p := range inbox.Records() {
-			if len(p)%directWordsPerMessage != 0 {
-				return true, fmt.Errorf("core: malformed direct frame with %d words", len(p))
-			}
-			for i := 0; i < len(p); i += directWordsPerMessage {
-				received = append(received, Message{Src: from, Dst: id, Seq: int(p[i]), Payload: p[i+1]})
-			}
-		}
-		sortMessages(received)
-		run.outs[id] = received
-		return true, nil
+			frame := clique.Packet(buf[start:len(buf):len(buf)])
+			nd.SendFramed(dst, frame, len(pos), len(frame))
+		})
+		return err != nil, err
 	}
+	var received []Message
+	for from, p := range inbox.Records() {
+		if len(p)%directWordsPerMessage != 0 {
+			return true, fmt.Errorf("core: malformed direct frame with %d words", len(p))
+		}
+		for i := 0; i < len(p); i += directWordsPerMessage {
+			received = append(received, Message{Src: from, Dst: id, Seq: int(p[i]), Payload: p[i+1]})
+		}
+	}
+	sortMessages(received)
+	run.outs[id] = received
+	return true, nil
 }
 
-// broadcastStep is broadcastRoute as a step program: scatter in strategy
-// round 0, held-group assembly plus the first relay round in round 1, then
-// one relay round per step until RelayRounds are done.
-func (run *SparseRouteRun) broadcastStep(nd *clique.Node, sround int, inbox clique.FlatInbox) (bool, error) {
-	n := run.n
+// broadcastStep is the one-to-many path: message k of a source is scattered
+// to relay (id+k) mod n in strategy round 0; in round 1 every relay groups
+// what it holds by destination and starts forwarding, one message per
+// (relay, destination) edge per round, for exactly RelayRounds rounds.
+// Decoded packets are converted to Message values immediately, so nothing
+// aliases engine receive memory past the payload grace window.
+func (run *routeStepRun) broadcastStep(nd *clique.Node, sround int, inbox clique.FlatInbox) (bool, error) {
+	n := run.plan.N
 	id := nd.ID()
 	st := &run.nodes[id]
 	relayRounds := run.plan.RelayRounds
 	switch {
 	case sround == 0:
-		row := run.sd.Row(id)
-		if len(row) == 0 {
-			return false, nil
-		}
+		row := run.row(id)
 		buf := make([]clique.Word, 0, len(row)*relayWordsPerMessage)
-		for k, e := range row {
-			pos := len(buf)
-			buf = append(buf, clique.Word(e.Dst), clique.Word(e.Seq), e.Payload)
-			nd.Send((id+k)%n, clique.Packet(buf[pos:len(buf):len(buf)]))
+		for k, m := range row {
+			start := len(buf)
+			buf = append(buf, clique.Word(m.Dst), clique.Word(m.Seq), m.Payload)
+			nd.Send((id+k)%n, clique.Packet(buf[start:len(buf):len(buf)]))
 		}
 		return false, nil
 	case sround == 1:
-		// Assemble the held groups from the scatter round. A stable sort by
-		// destination reproduces the dense path's per-destination append
-		// order (ascending sender, packet order within a sender).
+		// Assemble the held groups from the scatter round: a stable sort by
+		// destination keeps ascending sender order within a destination.
 		for from, p := range inbox.Records() {
 			if len(p) < relayWordsPerMessage {
 				return true, fmt.Errorf("core: malformed scattered message with %d words", len(p))
@@ -338,7 +259,7 @@ func (run *SparseRouteRun) broadcastStep(nd *clique.Node, sround int, inbox cliq
 			return true, nil
 		}
 		st.relayBuf = make([]clique.Word, 0, relayWordsPerMessage*(len(st.heldStart)-1))
-		run.relaySends(nd, st, 0)
+		relaySends(nd, st, 0)
 		return false, nil
 	default:
 		r := sround - 2 // the relay round whose traffic this inbox carries
@@ -349,7 +270,7 @@ func (run *SparseRouteRun) broadcastStep(nd *clique.Node, sround int, inbox cliq
 			st.received = append(st.received, Message{Src: int(p[0]), Dst: id, Seq: int(p[1]), Payload: p[2]})
 		}
 		if r+1 < relayRounds {
-			run.relaySends(nd, st, r+1)
+			relaySends(nd, st, r+1)
 			return false, nil
 		}
 		sortMessages(st.received)
@@ -362,15 +283,15 @@ func (run *SparseRouteRun) broadcastStep(nd *clique.Node, sround int, inbox cliq
 // dst) with more than r messages, the r-th one travels over the relay's own
 // edge to the destination. The packet buffer is reused across relay rounds —
 // the engine has copied the previous round's payloads at its delivery.
-func (run *SparseRouteRun) relaySends(nd *clique.Node, st *sparseRouteNode, r int) {
+func relaySends(nd *clique.Node, st *broadcastNode, r int) {
 	buf := st.relayBuf[:0]
 	for g := 0; g+1 < len(st.heldStart); g++ {
 		lo, hi := int(st.heldStart[g]), int(st.heldStart[g+1])
 		if r < hi-lo {
 			m := st.held[lo+r]
-			pos := len(buf)
+			start := len(buf)
 			buf = append(buf, clique.Word(m.Src), clique.Word(m.Seq), m.Payload)
-			nd.Send(m.Dst, clique.Packet(buf[pos:len(buf):len(buf)]))
+			nd.Send(m.Dst, clique.Packet(buf[start:len(buf):len(buf)]))
 		}
 	}
 	st.relayBuf = buf

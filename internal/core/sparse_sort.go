@@ -7,97 +7,75 @@ import (
 	"congestedclique/internal/clique"
 )
 
-// This file implements the sparse step-mode executor for planned sorting
-// instances: the RunRounds counterpart of AutoSort for the strategies
-// SparseSortStepCapable admits — empty and presorted — plus the charged sort
-// census. Like sparse_route.go it reproduces the blocking path's wire
-// behaviour exactly: the presorted arm stages the same ranked bundles and
-// forwards the same rank records through the same flat frames (one frame per
-// busy destination per round, emitted in first-touch order, accounted with
-// the identical SendFramed message count and model words), so stats and
-// batches match the dense path bit for bit. The dense path's per-node comm
-// scratch (length-n destination tables, member maps, arenas) is replaced by
-// a first-touch stager whose state is proportional to the node's own
-// traffic; the run's only O(n) allocations are the result headers.
+// This file implements the empty and presorted sorting arms as step
+// programs on the engine-driven (RunRounds) scheduler; AutoSort sends every
+// instance planned onto them here, and they are the only implementation of
+// these arms. The presorted arm stages ranked bundles and forwards rank
+// records through the flat-frame wire format of the pipeline's dealByRank
+// (one frame per busy destination per round, emitted in first-touch order,
+// accounted with the same SendFramed message count and model words), so its
+// output and stats are those of Algorithm 4's Step 8 run on the plan's
+// ranks. The blocking comm's per-node scratch (length-n destination tables,
+// member maps, arenas) is replaced by a first-touch stager whose state is
+// proportional to the node's own traffic; the run's only O(n) allocations
+// are the per-node stagers.
 //
 // Round mapping. With the census armed, step rounds 0..1 carry the two
-// census exchanges and the verdict is verified at the start of step round 2,
-// which doubles as the strategy's round 0:
+// census exchanges (census.go) and the verdict is verified at the start of
+// step round 2, which doubles as the strategy's round 0:
 //
 //	presorted  round 0: ranked bundles out   round 1: forward by rank
 //	           round 2: assemble batch, done
 //	empty      round 0: done
-type SparseSortRun struct {
-	n    int
+type sortStepRun struct {
 	plan SortPlan
 	keys [][]Key
 	off  int // census rounds preceding the strategy phase
 
-	nodes   []sparseSortNode
+	stagers []frameStager // presorted: one per node
 	results []*SortResult
 }
 
-// sparseSortNode is the per-node state of a sorting run: the frame stager
-// and the relayed records carried from the deal round to the forward round.
-type sparseSortNode struct {
-	stager frameStager
-}
-
-// NewSparseSortRun prepares a step-mode execution of plan over keys (indexed
-// by node, rows beyond len(keys) empty). The plan must be PlanSort of the
-// same instance and its strategy must be SparseSortStepCapable.
-func NewSparseSortRun(n int, keys [][]Key, plan SortPlan) (*SparseSortRun, error) {
-	if !SparseSortStepCapable(plan.Strategy) {
-		return nil, fmt.Errorf("core: sparse sort: strategy %v requires the blocking scheduler", plan.Strategy)
-	}
-	if plan.N != n {
-		return nil, fmt.Errorf("core: sort plan computed for n=%d executed on n=%d", plan.N, n)
-	}
-	run := &SparseSortRun{
-		n:       n,
-		plan:    plan,
-		keys:    keys,
-		nodes:   make([]sparseSortNode, n),
-		results: make([]*SortResult, n),
-	}
+// newSortStepRun prepares a step-mode execution of plan over keys (indexed
+// by node, rows beyond len(keys) empty), writing node i's result to
+// results[i].
+func newSortStepRun(keys [][]Key, plan SortPlan, results []*SortResult) *sortStepRun {
+	run := &sortStepRun{plan: plan, keys: keys, results: results}
 	if plan.Census {
 		run.off = SortCensusRounds
 	}
-	return run, nil
+	if plan.Strategy == SortStrategyPresorted {
+		run.stagers = make([]frameStager, plan.N)
+	}
+	return run
 }
 
 // row returns node's key row (nil when the node holds no keys).
-func (run *SparseSortRun) row(node int) []Key {
+func (run *sortStepRun) row(node int) []Key {
 	if node < len(run.keys) {
 		return run.keys[node]
 	}
 	return nil
 }
 
-// Result returns node's sort result, valid after the run completes
-// successfully; it is non-nil for every node.
-func (run *SparseSortRun) Result(node int) *SortResult { return run.results[node] }
-
-// Rounds returns the total step rounds the run will use (census included).
-func (run *SparseSortRun) Rounds() int { return run.off + run.plan.Rounds() }
-
-// Step is the clique.StepFunc of the run.
-func (run *SparseSortRun) Step(nd *clique.Node, round int, inbox clique.FlatInbox) (bool, error) {
+// step is the clique.StepFunc of the run.
+func (run *sortStepRun) step(nd *clique.Node, round int, inbox clique.FlatInbox) (bool, error) {
+	id := nd.ID()
 	if round < run.off {
-		return false, run.censusStep(nd, round, inbox)
+		return false, sortCensusStep(nd, &run.plan, run.row(id), round, inbox)
 	}
 	if run.off > 0 && round == run.off {
-		if err := run.censusVerify(nd, inbox); err != nil {
+		if err := sortCensusVerify(id, &run.plan, inbox); err != nil {
 			return true, err
 		}
 	}
 	sround := round - run.off
 	switch run.plan.Strategy {
 	case SortStrategyEmpty:
-		if row := run.row(nd.ID()); len(row) != 0 {
-			return true, fmt.Errorf("core: empty sort plan but node %d holds %d keys", nd.ID(), len(row))
+		if row := run.row(id); len(row) != 0 {
+			return true, fmt.Errorf("core: empty sort plan but node %d holds %d keys", id, len(row))
 		}
-		run.results[nd.ID()] = &SortResult{}
+		run.results[id] = &SortResult{}
 		return true, nil
 	case SortStrategyPresorted:
 		return run.presortedStep(nd, sround, inbox)
@@ -106,62 +84,17 @@ func (run *SparseSortRun) Step(nd *clique.Node, round int, inbox clique.FlatInbo
 	}
 }
 
-// censusStep executes the two sort-census exchanges of runSortCensus.
-func (run *SparseSortRun) censusStep(nd *clique.Node, round int, inbox clique.FlatInbox) error {
-	n := run.n
-	id := nd.ID()
-	switch round {
-	case 0:
-		// R1: every node reports (count, row hash) to node 0.
-		row := run.row(id)
-		nd.Send(0, clique.Packet{clique.Word(len(row)), clique.Word(sortRowHash(row))})
-	case 1:
-		// R2: node 0 folds and broadcasts [strategy, fingerprint].
-		if id != 0 {
-			return nil
-		}
-		h := uint64(fnvOffset64)
-		missing := eachAggregate(inbox, n, 2, func(p clique.Packet) {
-			h = foldRows(h, int(p[0]), uint64(p[1]))
-		})
-		if missing >= 0 {
-			return fmt.Errorf("core: sort census: node 0 missing aggregate from node %d", missing)
-		}
-		verdict := clique.Packet{clique.Word(run.plan.Strategy), clique.Word(h)}
-		for to := 0; to < n; to++ {
-			nd.Send(to, verdict)
-		}
-	}
-	return nil
-}
-
-// censusVerify checks the broadcast sort verdict against the plan at step
-// round 2, with the exact diagnostics of the blocking census.
-func (run *SparseSortRun) censusVerify(nd *clique.Node, inbox clique.FlatInbox) error {
-	plan := run.plan
-	verdict := soleFrom(inbox, 0)
-	if len(verdict) != 2 {
-		return fmt.Errorf("core: sort census: node %d missing verdict broadcast", nd.ID())
-	}
-	if SortStrategy(verdict[0]) != plan.Strategy {
-		return fmt.Errorf("core: sort census: broadcast verdict %v disagrees with plan %v at node %d",
-			SortStrategy(verdict[0]), plan.Strategy, nd.ID())
-	}
-	if plan.CensusHasFP && uint64(verdict[1]) != plan.CensusFP {
-		return fmt.Errorf("core: sort census: instance fingerprint %x disagrees with plan fingerprint %x at node %d",
-			uint64(verdict[1]), plan.CensusFP, nd.ID())
-	}
-	return nil
-}
-
-// presortedStep is presortedSort (and the dealByRank/dealDeliver pair behind
-// it) as a step program.
-func (run *SparseSortRun) presortedStep(nd *clique.Node, sround int, inbox clique.FlatInbox) (bool, error) {
+// presortedStep is the skip-redistribution arm: the plan certifies that the
+// rows partition the global order, so after a free local sort this node's
+// run occupies the contiguous global ranks starting at StartRanks[me], and
+// the two rounds of Algorithm 4's Step 8 (dealByRank, then dealDeliver)
+// finish the job alone.
+func (run *sortStepRun) presortedStep(nd *clique.Node, sround int, inbox clique.FlatInbox) (bool, error) {
 	const context = "presorted.rank"
-	n := run.n
+	plan := &run.plan
+	n := plan.N
 	id := nd.ID()
-	st := &run.nodes[id]
-	plan := run.plan
+	st := &run.stagers[id]
 	total := 0
 	if len(plan.StartRanks) > 0 {
 		total = plan.StartRanks[len(plan.StartRanks)-1]
@@ -186,16 +119,16 @@ func (run *SparseSortRun) presortedStep(nd *clique.Node, sround int, inbox cliqu
 		packetIdx := 0
 		for lo := 0; lo < len(keys); lo += keysPerBundle {
 			hi := min(lo+keysPerBundle, len(keys))
-			st.stager.open((id + packetIdx) % n)
-			st.stager.words(clique.Word(hi - lo))
+			st.open((id + packetIdx) % n)
+			st.words(clique.Word(hi - lo))
 			for t := lo; t < hi; t++ {
 				k := keys[t]
-				st.stager.words(clique.Word(start+t), k.Value, clique.Word(k.Origin), clique.Word(k.Seq))
+				st.words(clique.Word(start+t), k.Value, clique.Word(k.Origin), clique.Word(k.Seq))
 			}
-			st.stager.close()
+			st.close()
 			packetIdx++
 		}
-		st.stager.flush(nd)
+		st.flush(nd)
 		return false, nil
 	case 1:
 		// Decode the ranked bundles and forward every key to the node owning
@@ -226,11 +159,11 @@ func (run *SparseSortRun) presortedStep(nd *clique.Node, sround int, inbox cliqu
 		}
 		for _, rk := range relayed {
 			dst := min(rk.rank/perNode, n-1)
-			st.stager.open(dst)
-			st.stager.words(clique.Word(rk.rank), rk.key.Value, clique.Word(rk.key.Origin), clique.Word(rk.key.Seq))
-			st.stager.close()
+			st.open(dst)
+			st.words(clique.Word(rk.rank), rk.key.Value, clique.Word(rk.key.Origin), clique.Word(rk.key.Seq))
+			st.close()
 		}
-		st.stager.flush(nd)
+		st.flush(nd)
 		return false, nil
 	default:
 		// Assemble the contiguous batch.

@@ -1,162 +1,150 @@
-package core
+package core_test
 
 import (
+	"context"
 	"fmt"
-	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
 	"congestedclique/internal/clique"
+	"congestedclique/internal/core"
+	"congestedclique/internal/verify"
 )
 
-// sparseTestInstances is the shape catalog the sparse-path parity tests sweep:
-// every strategy the sparse executors cover plus the pipeline fallbacks, with
-// ragged and inactive rows mixed in.
-func sparseTestInstances(n int) map[string][][]Message {
-	oneToMany := make([][]Message, n)
-	for j := 0; j < 6*min(n, 8); j++ {
-		oneToMany[0] = append(oneToMany[0], Message{Src: 0, Dst: 1 + j%4, Seq: j, Payload: clique.Word(j)})
+// Cross-checks of AutoRoute and AutoSort — the step executors of the empty,
+// direct, broadcast and presorted arms, and the blocking pipeline arm — on
+// three references: the Deterministic pipeline's output (core.Route and
+// core.Sort), internal/verify, and the round and word costs the plan
+// advertises.
+
+// pairInstance gives every node pairs destinations, mult messages each.
+func pairInstance(n, pairs, mult int) [][]core.Message {
+	msgs := make([][]core.Message, n)
+	for src := 0; src < n; src++ {
+		for p := 0; p < pairs; p++ {
+			for k := 0; k < mult; k++ {
+				msgs[src] = append(msgs[src], core.Message{Src: src, Dst: (src + 1 + p) % n, Seq: len(msgs[src]), Payload: clique.Word(src*10_000 + len(msgs[src]))})
+			}
+		}
 	}
-	ragged := make([][]Message, n/2) // rows beyond len(msgs) are empty
+	return msgs
+}
+
+// sparseTestInstances is the route shape catalog: every step arm plus the
+// pipeline, with ragged and inactive rows mixed in.
+func sparseTestInstances(n int) map[string][][]core.Message {
+	oneToMany := make([][]core.Message, n)
+	for j := 0; j < 6*min(n, 8); j++ {
+		oneToMany[0] = append(oneToMany[0], core.Message{Src: 0, Dst: 1 + j%4, Seq: j, Payload: clique.Word(j)})
+	}
+	ragged := make([][]core.Message, n/2) // rows beyond len(msgs) are empty
 	for src := 0; src < len(ragged); src += 3 {
 		for p := 0; p < 1+src%3; p++ {
-			ragged[src] = append(ragged[src], Message{Src: src, Dst: (src*7 + p) % n, Seq: p, Payload: clique.Word(100*src + p)})
+			ragged[src] = append(ragged[src], core.Message{Src: src, Dst: (src*7 + p) % n, Seq: p, Payload: clique.Word(100*src + p)})
 		}
 	}
-	return map[string][][]Message{
-		"empty":       make([][]Message, n),
-		"direct":      sparseInstance(n, 2, 1),
-		"direct-full": sparseInstance(n, 3, DirectMaxMultiplicity),
+	return map[string][][]core.Message{
+		"empty":       make([][]core.Message, n),
+		"direct":      pairInstance(n, 2, 1),
+		"direct-full": pairInstance(n, 3, core.DirectMaxMultiplicity),
 		"broadcast":   oneToMany,
 		"ragged":      ragged,
-		"pipeline":    sparseInstance(n, n, 1),
+		"pipeline":    pairInstance(n, n, 1),
 	}
 }
 
-func TestSparseDemandRoundTrip(t *testing.T) {
-	t.Parallel()
-	const n = 48
-	for name, msgs := range sparseTestInstances(n) {
-		sd, err := NewSparseDemand(n, msgs)
-		if err != nil {
-			t.Fatalf("%s: NewSparseDemand: %v", name, err)
-		}
-		back := sd.Messages()
-		for i := 0; i < n; i++ {
-			var want []Message
-			if i < len(msgs) {
-				want = msgs[i]
-			}
-			if len(want) == 0 && len(back[i]) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(back[i], want) {
-				t.Fatalf("%s: row %d does not round-trip: got %v want %v", name, i, back[i], want)
-			}
-		}
-		total := 0
-		for _, row := range msgs {
-			total += len(row)
-		}
-		if sd.Total() != total {
-			t.Fatalf("%s: Total = %d, want %d", name, sd.Total(), total)
-		}
-	}
+// padRows returns msgs with one row per node.
+func padRows[T any](n int, rows [][]T) [][]T {
+	out := make([][]T, n)
+	copy(out, rows)
+	return out
 }
 
-func TestSparseDemandRejectsMalformedRows(t *testing.T) {
-	t.Parallel()
-	const n = 8
-	if _, err := NewSparseDemand(n, [][]Message{{{Src: 1, Dst: 2}}}); err == nil {
-		t.Error("foreign Src accepted")
-	}
-	if _, err := NewSparseDemand(n, [][]Message{{{Src: 0, Dst: n}}}); err == nil {
-		t.Error("out-of-range Dst accepted")
-	}
-}
-
-func TestSparseFingerprintMatchesRouteFingerprint(t *testing.T) {
-	t.Parallel()
-	const n = 48
-	for name, msgs := range sparseTestInstances(n) {
-		sd, err := NewSparseDemand(n, msgs)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got, want := sd.Fingerprint(), RouteFingerprint(n, msgs); got != want {
-			t.Errorf("%s: sparse fingerprint %v != dense %v", name, got, want)
-		}
-	}
-}
-
-func TestPlanRouteSparseMatchesPlanRoute(t *testing.T) {
-	t.Parallel()
-	for _, n := range []int{8, 48, 90} {
-		for name, msgs := range sparseTestInstances(n) {
-			sd, err := NewSparseDemand(n, msgs)
-			if err != nil {
-				t.Fatalf("n=%d %s: %v", n, name, err)
-			}
-			got := PlanRouteSparse(sd)
-			want := PlanRoute(n, msgs)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("n=%d %s: sparse plan %+v\n  != dense plan %+v", n, name, got, want)
-			}
-		}
-	}
-}
-
-// runDenseAutoRoute executes AutoRoute on the blocking scheduler and returns
-// the per-node outputs and run metrics.
-func runDenseAutoRoute(t *testing.T, n int, msgs [][]Message, plan RoutePlan) ([][]Message, clique.Metrics) {
+// runPipelineRoute routes msgs with the Deterministic pipeline.
+func runPipelineRoute(t testing.TB, n int, msgs [][]core.Message) [][]core.Message {
 	t.Helper()
 	nw, err := clique.New(n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nw.Close()
-	outs := make([][]Message, n)
+	outs := make([][]core.Message, n)
 	err = nw.Run(func(nd *clique.Node) error {
-		var row []Message
-		if nd.ID() < len(msgs) {
-			row = msgs[nd.ID()]
-		}
-		out, rErr := AutoRoute(nd, row, plan)
-		if rErr != nil {
-			return rErr
-		}
+		out, rErr := core.Route(nd, msgs[nd.ID()])
 		outs[nd.ID()] = out
-		return nil
+		return rErr
 	})
 	if err != nil {
-		t.Fatalf("dense AutoRoute: %v", err)
+		t.Fatalf("pipeline route: %v", err)
 	}
-	return outs, nw.Metrics()
+	return outs
 }
 
-// runSparseRoute executes the sparse step-mode run and returns the per-node
-// outputs and run metrics.
-func runSparseRoute(t *testing.T, sd *SparseDemand, plan RoutePlan) ([][]Message, clique.Metrics) {
+// checkAutoRoute executes plan through AutoRoute and checks it against the
+// three references.
+func checkAutoRoute(t testing.TB, label string, n int, msgs [][]core.Message, plan core.RoutePlan) {
 	t.Helper()
-	n := sd.N()
+	msgs = padRows(n, msgs)
 	nw, err := clique.New(n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nw.Close()
-	run, err := NewSparseRouteRun(sd, plan)
-	if err != nil {
-		t.Fatal(err)
+	got := make([][]core.Message, n)
+	if err := core.AutoRoute(context.Background(), nw, msgs, plan, got); err != nil {
+		t.Fatalf("%s: AutoRoute: %v", label, err)
 	}
-	if err := nw.RunRounds(run.Step); err != nil {
-		t.Fatalf("sparse route run: %v", err)
+	m := nw.Metrics()
+	if err := verify.Routing(msgs, got); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
-	outs := make([][]Message, n)
+	want := runPipelineRoute(t, n, msgs)
 	for i := 0; i < n; i++ {
-		outs[i] = run.Output(i)
+		if (len(got[i]) != 0 || len(want[i]) != 0) && !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("%s: node %d outputs differ:\n auto     %v\n pipeline %v", label, i, got[i], want[i])
+		}
 	}
-	return outs, nw.Metrics()
+
+	// The census costs: one count word per busy (source, destination) pair,
+	// a 4-word aggregate per node, a 3-word verdict per node.
+	var rounds int
+	var words, messages int64
+	if plan.Census {
+		pairs := 0
+		for _, row := range msgs {
+			seen := map[int]bool{}
+			for _, msg := range row {
+				if !seen[msg.Dst] {
+					seen[msg.Dst] = true
+					pairs++
+				}
+			}
+		}
+		rounds, words, messages = core.RouteCensusRounds, int64(pairs+7*n), int64(pairs+2*n)
+	}
+	total := int64(plan.TotalMessages)
+	switch plan.Strategy {
+	case core.StrategyDirect:
+		words, messages = words+2*total, messages+total
+	case core.StrategyBroadcast:
+		words, messages = words+6*total, messages+2*total
+	case core.StrategyPipeline:
+		return // the pipeline's costs are Route's own, pinned by its tests
+	}
+	if m.Rounds != rounds+plan.Rounds() || m.TotalWords != words || m.TotalMessages != messages {
+		t.Fatalf("%s: %d rounds, %d words, %d messages; plan advertises %d, %d, %d",
+			label, m.Rounds, m.TotalWords, m.TotalMessages, rounds+plan.Rounds(), words, messages)
+	}
+}
+
+// censusPlan arms the census on plan, with the cache fingerprint when fp.
+func censusPlan(plan core.RoutePlan, n int, msgs [][]core.Message, fp bool) core.RoutePlan {
+	plan.Census = true
+	if fp {
+		plan.CensusHasFP = true
+		plan.CensusFP = core.RouteFingerprint(n, msgs).Hash
+	}
+	return plan
 }
 
 func TestSparseRouteRunMatchesDense(t *testing.T) {
@@ -164,35 +152,11 @@ func TestSparseRouteRunMatchesDense(t *testing.T) {
 	for _, n := range []int{8, 48, 90} {
 		for name, msgs := range sparseTestInstances(n) {
 			for _, census := range []bool{false, true} {
-				sd, err := NewSparseDemand(n, msgs)
-				if err != nil {
-					t.Fatalf("n=%d %s: %v", n, name, err)
-				}
-				plan := PlanRouteSparse(sd)
-				if !SparseStepCapable(plan.Strategy) {
-					continue // pipeline arm: blocking scheduler only
-				}
-				plan.Census = census
+				plan := core.PlanRoute(n, msgs)
 				if census {
-					plan.CensusHasFP = true
-					plan.CensusFP = sd.Fingerprint().Hash
+					plan = censusPlan(plan, n, msgs, true)
 				}
-				label := fmt.Sprintf("n=%d/%s/census=%v", n, name, census)
-				wantOut, wantM := runDenseAutoRoute(t, n, msgs, plan)
-				gotOut, gotM := runSparseRoute(t, sd, plan)
-				for i := 0; i < n; i++ {
-					if len(wantOut[i]) == 0 && len(gotOut[i]) == 0 {
-						continue
-					}
-					if !reflect.DeepEqual(gotOut[i], wantOut[i]) {
-						t.Fatalf("%s: node %d outputs differ:\n sparse %v\n dense  %v", label, i, gotOut[i], wantOut[i])
-					}
-				}
-				if gotM.Rounds != wantM.Rounds || gotM.TotalWords != wantM.TotalWords ||
-					gotM.TotalMessages != wantM.TotalMessages ||
-					gotM.MaxEdgeWords != wantM.MaxEdgeWords || gotM.MaxEdgeMessages != wantM.MaxEdgeMessages {
-					t.Errorf("%s: metrics differ:\n sparse %+v\n dense  %+v", label, gotM, wantM)
-				}
+				checkAutoRoute(t, fmt.Sprintf("n=%d/%s/census=%v", n, name, census), n, msgs, plan)
 			}
 		}
 	}
@@ -200,8 +164,8 @@ func TestSparseRouteRunMatchesDense(t *testing.T) {
 
 // presortedKeysInstance builds rows that partition the global order: node i
 // holds cnt(i) consecutive values, ascending across nodes.
-func presortedKeysInstance(n int) [][]Key {
-	keys := make([][]Key, n)
+func presortedKeysInstance(n int) [][]core.Key {
+	keys := make([][]core.Key, n)
 	v := int64(0)
 	for i := 0; i < n; i++ {
 		cnt := (i*7)%5 + 1
@@ -209,184 +173,73 @@ func presortedKeysInstance(n int) [][]Key {
 			cnt = 0 // inactive holders stay covered
 		}
 		for j := 0; j < cnt; j++ {
-			keys[i] = append(keys[i], Key{Value: v, Origin: i, Seq: j})
+			keys[i] = append(keys[i], core.Key{Value: v, Origin: i, Seq: j})
 			v += int64(1 + (i+j)%3)
 		}
 	}
 	return keys
 }
 
-// runDenseAutoSort executes AutoSort on the blocking scheduler.
-func runDenseAutoSort(t *testing.T, n int, keys [][]Key, plan SortPlan) ([]*SortResult, clique.Metrics) {
-	t.Helper()
-	nw, err := clique.New(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Close()
-	results := make([]*SortResult, n)
-	err = nw.Run(func(nd *clique.Node) error {
-		var row []Key
-		if nd.ID() < len(keys) {
-			row = keys[nd.ID()]
-		}
-		res, sErr := AutoSort(nd, row, plan)
-		if sErr != nil {
-			return sErr
-		}
-		results[nd.ID()] = res
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("dense AutoSort: %v", err)
-	}
-	return results, nw.Metrics()
-}
-
 func TestSparseSortRunMatchesDense(t *testing.T) {
 	t.Parallel()
+	ctx := context.Background()
 	for _, n := range []int{8, 48, 90} {
 		for _, tc := range []struct {
-			name string
-			keys [][]Key
+			name     string
+			keys     [][]core.Key
+			strategy core.SortStrategy
 		}{
-			{"empty", make([][]Key, n)},
-			{"presorted", presortedKeysInstance(n)},
+			{"empty", make([][]core.Key, n), core.SortStrategyEmpty},
+			{"presorted", presortedKeysInstance(n), core.SortStrategyPresorted},
 		} {
 			for _, census := range []bool{false, true} {
-				plan := PlanSort(n, tc.keys)
-				if !SparseSortStepCapable(plan.Strategy) {
-					t.Fatalf("n=%d %s: plan strategy %v not step-capable", n, tc.name, plan.Strategy)
+				label := fmt.Sprintf("n=%d/%s/census=%v", n, tc.name, census)
+				plan := core.PlanSort(n, tc.keys)
+				if plan.Strategy != tc.strategy {
+					t.Fatalf("%s: strategy %v, want %v", label, plan.Strategy, tc.strategy)
 				}
 				plan.Census = census
+				rounds := plan.Rounds()
 				if census {
-					if fp, ok := SortFingerprint(n, tc.keys); ok {
+					rounds += core.SortCensusRounds
+					if fp, ok := core.SortFingerprint(n, tc.keys); ok {
 						plan.CensusHasFP = true
 						plan.CensusFP = fp.Hash
 					}
 				}
-				label := fmt.Sprintf("n=%d/%s/census=%v", n, tc.name, census)
-
-				want, wantM := runDenseAutoSort(t, n, tc.keys, plan)
 
 				nw, err := clique.New(n)
 				if err != nil {
 					t.Fatal(err)
 				}
-				run, err := NewSparseSortRun(n, tc.keys, plan)
-				if err != nil {
-					nw.Close()
-					t.Fatal(err)
+				got := make([]*core.SortResult, n)
+				if err := core.AutoSort(ctx, nw, tc.keys, plan, got); err != nil {
+					t.Fatalf("%s: AutoSort: %v", label, err)
 				}
-				if err := nw.RunRounds(run.Step); err != nil {
-					nw.Close()
-					t.Fatalf("%s: sparse sort run: %v", label, err)
+				if r := nw.Metrics().Rounds; r != rounds {
+					t.Errorf("%s: %d rounds, plan advertises %d", label, r, rounds)
 				}
-				gotM := nw.Metrics()
-				for i := 0; i < n; i++ {
-					got := run.Result(i)
-					if got == nil {
-						t.Fatalf("%s: node %d has no result", label, i)
-					}
-					if got.Start != want[i].Start || got.Total != want[i].Total ||
-						!(len(got.Batch) == 0 && len(want[i].Batch) == 0 || reflect.DeepEqual(got.Batch, want[i].Batch)) {
-						t.Fatalf("%s: node %d results differ:\n sparse %+v\n dense  %+v", label, i, got, want[i])
-					}
-				}
+				want := make([]*core.SortResult, n)
+				err = nw.Run(func(nd *clique.Node) error {
+					res, sErr := core.Sort(nd, tc.keys[nd.ID()])
+					want[nd.ID()] = res
+					return sErr
+				})
 				nw.Close()
-				if gotM.Rounds != wantM.Rounds || gotM.TotalWords != wantM.TotalWords ||
-					gotM.TotalMessages != wantM.TotalMessages ||
-					gotM.MaxEdgeWords != wantM.MaxEdgeWords || gotM.MaxEdgeMessages != wantM.MaxEdgeMessages {
-					t.Errorf("%s: metrics differ:\n sparse %+v\n dense  %+v", label, gotM, wantM)
+				if err != nil {
+					t.Fatalf("%s: pipeline sort: %v", label, err)
+				}
+				if err := verify.Sorting(tc.keys, got); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				for i := 0; i < n; i++ {
+					g, w := got[i], want[i]
+					if g.Start != w.Start || g.Total != w.Total ||
+						!(len(g.Batch) == 0 && len(w.Batch) == 0 || reflect.DeepEqual(g.Batch, w.Batch)) {
+						t.Fatalf("%s: node %d results differ:\n auto     %+v\n pipeline %+v", label, i, g, w)
+					}
 				}
 			}
 		}
-	}
-}
-
-// flatOf encodes a per-sender packet list as the engine's FlatInbox.
-func flatOf(in clique.Inbox) clique.FlatInbox {
-	var flat clique.FlatInbox
-	for from, ps := range in {
-		for _, p := range ps {
-			flat = append(flat, clique.Word(from), clique.Word(len(p)))
-			flat = append(flat, p...)
-		}
-	}
-	return flat
-}
-
-// TestFlatCensusDecodeMatchesDense pins the one-sweep census decode against
-// the per-sender rule of the dense inbox: over random inboxes with missing,
-// duplicated and malformed aggregates, eachAggregate names the same first
-// sender lacking exactly one well-formed packet and folds the same packets,
-// soleFrom agrees with "exactly one packet from the sender", and the census
-// steps report the blocking census's error strings.
-func TestFlatCensusDecodeMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 3000; trial++ {
-		n := 1 + rng.Intn(6)
-		width := 2 + rng.Intn(3)
-		in := make(clique.Inbox, n)
-		for from := range in {
-			k := 1
-			if rng.Intn(4) == 0 {
-				k = rng.Intn(3)
-			}
-			for j := 0; j < k; j++ {
-				l := width
-				if rng.Intn(8) == 0 {
-					l = rng.Intn(width + 2)
-				}
-				p := make(clique.Packet, l)
-				for w := range p {
-					p[w] = clique.Word(rng.Intn(100))
-				}
-				in[from] = append(in[from], p)
-			}
-		}
-		flat := flatOf(in)
-
-		wantMissing := -1
-		var wantFolded []clique.Packet
-		for from := 0; from < n; from++ {
-			if len(in[from]) != 1 || len(in[from][0]) != width {
-				wantMissing = from
-				break
-			}
-			wantFolded = append(wantFolded, in[from][0])
-		}
-		var folded []clique.Packet
-		missing := eachAggregate(flat, n, width, func(p clique.Packet) { folded = append(folded, p) })
-		if missing != wantMissing {
-			t.Fatalf("trial %d: eachAggregate names sender %d, dense rule %d (inbox %v)", trial, missing, wantMissing, in)
-		}
-		if missing < 0 && !reflect.DeepEqual(folded, wantFolded) {
-			t.Fatalf("trial %d: folded %v, want %v", trial, folded, wantFolded)
-		}
-		for from := 0; from < n; from++ {
-			var want clique.Packet
-			if len(in[from]) == 1 {
-				want = in[from][0]
-			}
-			if got := soleFrom(flat, from); (got == nil) != (want == nil) || !slices.Equal(got, want) {
-				t.Fatalf("trial %d: soleFrom(%d) = %v, want %v", trial, from, got, want)
-			}
-		}
-	}
-
-	route := &SparseRouteRun{n: 3, nodes: make([]sparseRouteNode, 3)}
-	err := route.censusStep(&clique.Node{}, 2, flatOf(clique.Inbox{{{1, 2, 3, 4}}, nil, {{1, 2, 3, 4}}}))
-	if want := "core: census: node 0 missing aggregate from node 1"; err == nil || err.Error() != want {
-		t.Errorf("route census error %v, want %q", err, want)
-	}
-	sorting := &SparseSortRun{n: 3}
-	err = sorting.censusStep(&clique.Node{}, 1, flatOf(clique.Inbox{{{1, 2}}, {{1, 2}, {3, 4}}, {{1, 2}}}))
-	if want := "core: sort census: node 0 missing aggregate from node 1"; err == nil || err.Error() != want {
-		t.Errorf("sort census error %v, want %q", err, want)
-	}
-	err = sorting.censusVerify(&clique.Node{}, flatOf(clique.Inbox{{{1, 2}, {1, 2}}}))
-	if want := "core: sort census: node 0 missing verdict broadcast"; err == nil || err.Error() != want {
-		t.Errorf("sort verdict error %v, want %q", err, want)
 	}
 }

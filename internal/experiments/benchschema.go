@@ -228,7 +228,7 @@ func (s *TemporalSection) MergeTemporalRun(run TemporalBench) {
 }
 
 // ScalingBench is one point of the scale-out frontier curve: a full
-// protocol run (sparse demand, AlgorithmAuto, WithSparsePath) at one clique
+// protocol run (sparse demand, AlgorithmAuto) at one clique
 // size, with wall time, allocation figures and the process peak RSS recorded
 // alongside the model cost.
 type ScalingBench struct {
@@ -250,9 +250,9 @@ type ScalingBench struct {
 	// invocation, so with sizes measured in ascending order it reads as
 	// "peak RSS after completing size n".
 	PeakRSSBytes int64 `json:"peak_rss_bytes,omitempty"`
-	// Verified reports that the sparse-path delivery was compared element by
-	// element against the dense scheduler on the identical instance (done at
-	// every n where the dense path is affordable, n <= 1024).
+	// Verified reports that the output passed internal/verify and matched the
+	// Deterministic pipeline's element by element on the identical instance
+	// (done at every n where the pipeline is affordable, n <= 1024).
 	Verified bool `json:"verified"`
 }
 

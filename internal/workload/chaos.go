@@ -34,9 +34,9 @@ type ChaosScenario struct {
 	// Op selects the session operation under test.
 	Op ChaosOp
 	// Sparse runs the operation on the sparse scale-out instance
-	// (ScaleSparseRoute) under WithSparsePath + AlgorithmAuto instead of the
-	// uniform full-load workload, so the catalog also exercises the
-	// engine-driven step executors' fault paths.
+	// (ScaleSparseRoute) under AlgorithmAuto instead of the uniform
+	// full-load workload; the planner sends it to the engine-driven step
+	// executors, so the catalog also exercises their fault paths.
 	Sparse bool
 	// Deadline, when positive, arms the round watchdog (WithRoundDeadline)
 	// for every attempt of the run.

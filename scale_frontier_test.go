@@ -74,11 +74,11 @@ func TestScaleFrontier16k(t *testing.T) {
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 
-	routeRes, err := Route(n, msgs, WithAlgorithm(AlgorithmAuto), WithSparsePath())
+	routeRes, err := Route(n, msgs, WithAlgorithm(AlgorithmAuto))
 	if err != nil {
 		t.Fatalf("route at n=%d: %v", n, err)
 	}
-	sortRes, err := Sort(n, values, WithAlgorithm(AlgorithmAuto), WithSparsePath())
+	sortRes, err := Sort(n, values, WithAlgorithm(AlgorithmAuto))
 	if err != nil {
 		t.Fatalf("sort at n=%d: %v", n, err)
 	}
@@ -96,7 +96,7 @@ func TestScaleFrontier16k(t *testing.T) {
 		allocated>>20, readVmHWM()>>20)
 	verifyFrontier(t, "uncached", msgs, values, routeRes, sortRes)
 
-	cl, err := New(n, WithAlgorithm(AlgorithmAuto), WithSparsePath(), WithPlanCache(4))
+	cl, err := New(n, WithAlgorithm(AlgorithmAuto), WithPlanCache(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestSparseRouteScalesWithTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 		msgs := instanceMessages(ri)
-		cl, err := New(n, WithAlgorithm(AlgorithmAuto), WithSparsePath(), WithPlanCache(4))
+		cl, err := New(n, WithAlgorithm(AlgorithmAuto), WithPlanCache(4))
 		if err != nil {
 			t.Fatal(err)
 		}

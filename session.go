@@ -468,20 +468,7 @@ func (u *execUnit) route(ctx context.Context, cfg config, msgs [][]Message, pc *
 		plan     core.RoutePlan
 		fp       core.Fingerprint
 		cacheHit bool
-		sd       *core.SparseDemand
 	)
-	if cfg.sparsePath && cfg.algorithm == AlgorithmAuto && u.n > 1 {
-		// Sparse scale-out path (WithSparsePath): the instance is held as a
-		// per-source adjacency and — when the plan's strategy has a step-mode
-		// executor — run on the worker-pool scheduler, so no per-node dense
-		// buffer or goroutine stack exists. Wire behaviour, results and stats
-		// are bit-identical to the blocking path.
-		var sdErr error
-		sd, sdErr = core.NewSparseDemand(u.n, inputs)
-		if sdErr != nil {
-			return nil, sdErr
-		}
-	}
 	if cfg.algorithm == AlgorithmAuto {
 		if pc != nil {
 			var hit *core.RouteHit
@@ -500,11 +487,7 @@ func (u *execUnit) route(ctx context.Context, cfg config, msgs [][]Message, pc *
 			}
 		}
 		if !cacheHit {
-			if sd != nil {
-				plan = core.PlanRouteSparse(sd)
-			} else {
-				plan = core.PlanRoute(u.n, inputs)
-			}
+			plan = core.PlanRoute(u.n, inputs)
 			if pc != nil && plan.Strategy == core.StrategyPipeline {
 				plan.Capture = core.NewRouteScheduleCapture(u.n)
 			}
@@ -520,17 +503,8 @@ func (u *execUnit) route(ctx context.Context, cfg config, msgs [][]Message, pc *
 
 	outputs := u.msgOut
 	var runErr error
-	if sd != nil && core.SparseStepCapable(plan.Strategy) {
-		run, buildErr := core.NewSparseRouteRun(sd, plan)
-		if buildErr != nil {
-			return nil, buildErr
-		}
-		runErr = u.nw.RunRoundsContext(ctx, run.Step)
-		if runErr == nil {
-			for i := 0; i < u.n; i++ {
-				outputs[i] = run.Output(i)
-			}
-		}
+	if cfg.algorithm == AlgorithmAuto {
+		runErr = core.AutoRoute(ctx, u.nw, inputs, plan, outputs)
 	} else {
 		runErr = u.nw.RunContext(ctx, func(nd *clique.Node) error {
 			var (
@@ -546,8 +520,6 @@ func (u *execUnit) route(ctx context.Context, cfg config, msgs [][]Message, pc *
 				out, rErr = baseline.RandomizedRoute(nd, inputs[nd.ID()], cfg.seed)
 			case NaiveDirect:
 				out, rErr = baseline.NaiveDirectRoute(nd, inputs[nd.ID()])
-			case AlgorithmAuto:
-				out, rErr = core.AutoRoute(nd, inputs[nd.ID()], plan)
 			default:
 				rErr = fmt.Errorf("congestedclique: unsupported algorithm %v", cfg.algorithm)
 			}
@@ -727,21 +699,8 @@ func (u *execUnit) sortStaged(ctx context.Context, cfg config, inputs [][]core.K
 	}
 
 	var runErr error
-	if cfg.sparsePath && cfg.algorithm == AlgorithmAuto && u.n > 1 && core.SparseSortStepCapable(plan.Strategy) {
-		// Sparse scale-out path (WithSparsePath): the empty and presorted
-		// arms run as step programs on the worker-pool scheduler — same wire
-		// traffic, results and stats as the blocking path, no per-node dense
-		// comm scratch or goroutine stack.
-		run, buildErr := core.NewSparseSortRun(u.n, inputs, plan)
-		if buildErr != nil {
-			return nil, buildErr
-		}
-		runErr = u.nw.RunRoundsContext(ctx, run.Step)
-		if runErr == nil {
-			for i := range results {
-				results[i] = run.Result(i)
-			}
-		}
+	if cfg.algorithm == AlgorithmAuto {
+		runErr = core.AutoSort(ctx, u.nw, inputs, plan, results)
 	} else {
 		runErr = u.nw.RunContext(ctx, func(nd *clique.Node) error {
 			var (
@@ -751,8 +710,6 @@ func (u *execUnit) sortStaged(ctx context.Context, cfg config, inputs [][]core.K
 			switch cfg.algorithm {
 			case Deterministic, LowCompute:
 				res, sErr = core.Sort(nd, inputs[nd.ID()])
-			case AlgorithmAuto:
-				res, sErr = core.AutoSort(nd, inputs[nd.ID()], plan)
 			case Randomized:
 				res, sErr = baseline.RandomizedSampleSort(nd, inputs[nd.ID()], cfg.seed)
 			default:
