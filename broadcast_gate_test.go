@@ -76,7 +76,7 @@ func TestBroadcastGate(t *testing.T) {
 		// With the census charged, both sides of the gate still deliver
 		// Deterministic's output in the census plus the arm's rounds
 		// (broadcast on the step executors, the rejected shape on the
-		// pipeline after the census driven over ExchangeFlat).
+		// pipeline after the census driven over Exchange).
 		checkAutoRoute(t, fmt.Sprintf("gate over=%v/census", over), n, msgs, true, WithChargedCensus())
 	}
 }

@@ -62,13 +62,11 @@ func NaiveDirectRoute(ex clique.Exchanger, msgs []core.Message) ([]core.Message,
 		if exErr != nil {
 			return nil, exErr
 		}
-		for from, packets := range inbox {
-			for _, p := range packets {
-				if len(p) < 3 {
-					return nil, fmt.Errorf("baseline: malformed direct message")
-				}
-				received = append(received, core.Message{Src: from, Dst: ex.ID(), Seq: int(p[1]), Payload: p[2]})
+		for from, p := range inbox.Records() {
+			if len(p) < 3 {
+				return nil, fmt.Errorf("baseline: malformed direct message")
 			}
+			received = append(received, core.Message{Src: from, Dst: ex.ID(), Seq: int(p[1]), Payload: p[2]})
 		}
 	}
 	core.SortMessageSlice(received)
@@ -102,21 +100,19 @@ func RandomizedRoute(ex clique.Exchanger, msgs []core.Message, seed int64) ([]co
 	}
 	byDst := make([][]clique.Packet, n)
 	myMax := 0
-	for _, packets := range inbox {
-		for _, p := range packets {
-			if len(p) < 4 {
-				return nil, fmt.Errorf("baseline: malformed relayed message")
-			}
-			dst := int(p[0])
-			if dst < 0 || dst >= n {
-				return nil, fmt.Errorf("baseline: relayed destination %d out of range", dst)
-			}
-			// Cloned: these packets are re-sent up to `rounds` barriers later,
-			// beyond the engine's payload grace window (clique.PayloadGraceRounds).
-			byDst[dst] = append(byDst[dst], p.Clone())
-			if len(byDst[dst]) > myMax {
-				myMax = len(byDst[dst])
-			}
+	for _, p := range inbox.Records() {
+		if len(p) < 4 {
+			return nil, fmt.Errorf("baseline: malformed relayed message")
+		}
+		dst := int(p[0])
+		if dst < 0 || dst >= n {
+			return nil, fmt.Errorf("baseline: relayed destination %d out of range", dst)
+		}
+		// Cloned: these packets are re-sent up to `rounds` barriers later,
+		// beyond the engine's payload grace window (clique.PayloadGraceRounds).
+		byDst[dst] = append(byDst[dst], p.Clone())
+		if len(byDst[dst]) > myMax {
+			myMax = len(byDst[dst])
 		}
 	}
 
@@ -137,13 +133,11 @@ func RandomizedRoute(ex clique.Exchanger, msgs []core.Message, seed int64) ([]co
 		if err != nil {
 			return nil, err
 		}
-		for _, packets := range inbox {
-			for _, p := range packets {
-				if len(p) < 4 {
-					return nil, fmt.Errorf("baseline: malformed delivered message")
-				}
-				received = append(received, core.Message{Dst: int(p[0]), Src: int(p[1]), Seq: int(p[2]), Payload: p[3]})
+		for _, p := range inbox.Records() {
+			if len(p) < 4 {
+				return nil, fmt.Errorf("baseline: malformed delivered message")
 			}
+			received = append(received, core.Message{Dst: int(p[0]), Src: int(p[1]), Seq: int(p[2]), Payload: p[3]})
 		}
 	}
 	core.SortMessageSlice(received)
@@ -162,11 +156,9 @@ func agreeOnMax(ex clique.Exchanger, mine int) (int, error) {
 		return 0, err
 	}
 	max := 0
-	for _, packets := range inbox {
-		for _, p := range packets {
-			if len(p) > 0 && int(p[0]) > max {
-				max = int(p[0])
-			}
+	for _, p := range inbox.Records() {
+		if len(p) > 0 && int(p[0]) > max {
+			max = int(p[0])
 		}
 	}
 	return max, nil
@@ -202,8 +194,8 @@ func RandomizedSampleSort(ex clique.Exchanger, keys []core.Key, seed int64) (*co
 		return nil, err
 	}
 	var toRebroadcast []clique.Packet
-	for _, packets := range inbox {
-		toRebroadcast = append(toRebroadcast, packets...)
+	for _, p := range inbox.Records() {
+		toRebroadcast = append(toRebroadcast, p)
 	}
 	for to := 0; to < n; to++ {
 		for _, p := range toRebroadcast {
@@ -215,11 +207,9 @@ func RandomizedSampleSort(ex clique.Exchanger, keys []core.Key, seed int64) (*co
 		return nil, err
 	}
 	var allSamples []core.Key
-	for _, packets := range inbox {
-		for _, p := range packets {
-			if len(p) >= 3 {
-				allSamples = append(allSamples, core.Key{Value: p[0], Origin: int(p[1]), Seq: int(p[2])})
-			}
+	for _, p := range inbox.Records() {
+		if len(p) >= 3 {
+			allSamples = append(allSamples, core.Key{Value: p[0], Origin: int(p[1]), Seq: int(p[2])})
 		}
 	}
 	core.SortKeySlice(allSamples)
@@ -252,18 +242,16 @@ func RandomizedSampleSort(ex clique.Exchanger, keys []core.Key, seed int64) (*co
 	}
 	byDst := make([][]clique.Packet, n)
 	myMax := 0
-	for _, packets := range inbox {
-		for _, p := range packets {
-			if len(p) < 4 {
-				continue
-			}
-			dst := int(p[0])
-			// Cloned: these packets are re-sent up to `rounds` barriers later,
-			// beyond the engine's payload grace window (clique.PayloadGraceRounds).
-			byDst[dst] = append(byDst[dst], p.Clone())
-			if len(byDst[dst]) > myMax {
-				myMax = len(byDst[dst])
-			}
+	for _, p := range inbox.Records() {
+		if len(p) < 4 {
+			continue
+		}
+		dst := int(p[0])
+		// Cloned: these packets are re-sent up to `rounds` barriers later,
+		// beyond the engine's payload grace window (clique.PayloadGraceRounds).
+		byDst[dst] = append(byDst[dst], p.Clone())
+		if len(byDst[dst]) > myMax {
+			myMax = len(byDst[dst])
 		}
 	}
 	rounds, err := agreeOnMax(ex, myMax)
@@ -281,11 +269,9 @@ func RandomizedSampleSort(ex clique.Exchanger, keys []core.Key, seed int64) (*co
 		if err != nil {
 			return nil, err
 		}
-		for _, packets := range inbox {
-			for _, p := range packets {
-				if len(p) >= 4 {
-					bucket = append(bucket, core.Key{Value: p[1], Origin: int(p[2]), Seq: int(p[3])})
-				}
+		for _, p := range inbox.Records() {
+			if len(p) >= 4 {
+				bucket = append(bucket, core.Key{Value: p[1], Origin: int(p[2]), Seq: int(p[3])})
 			}
 		}
 	}
@@ -321,11 +307,9 @@ func RandomizedSampleSort(ex clique.Exchanger, keys []core.Key, seed int64) (*co
 		key  core.Key
 	}
 	var relayed []ranked
-	for _, packets := range inbox {
-		for _, p := range packets {
-			if len(p) >= 4 {
-				relayed = append(relayed, ranked{rank: int(p[0]), key: core.Key{Value: p[1], Origin: int(p[2]), Seq: int(p[3])}})
-			}
+	for _, p := range inbox.Records() {
+		if len(p) >= 4 {
+			relayed = append(relayed, ranked{rank: int(p[0]), key: core.Key{Value: p[1], Origin: int(p[2]), Seq: int(p[3])}})
 		}
 	}
 	for _, rk := range relayed {
@@ -340,11 +324,9 @@ func RandomizedSampleSort(ex clique.Exchanger, keys []core.Key, seed int64) (*co
 		return nil, err
 	}
 	var mine []ranked
-	for _, packets := range inbox {
-		for _, p := range packets {
-			if len(p) >= 4 {
-				mine = append(mine, ranked{rank: int(p[0]), key: core.Key{Value: p[1], Origin: int(p[2]), Seq: int(p[3])}})
-			}
+	for _, p := range inbox.Records() {
+		if len(p) >= 4 {
+			mine = append(mine, ranked{rank: int(p[0]), key: core.Key{Value: p[1], Origin: int(p[2]), Seq: int(p[3])}})
 		}
 	}
 	sort.Slice(mine, func(i, j int) bool { return mine[i].rank < mine[j].rank })
@@ -371,11 +353,9 @@ func agreeOnSizes(ex clique.Exchanger, mine int) ([]int, error) {
 		return nil, err
 	}
 	sizes := make([]int, n)
-	for from, packets := range inbox {
-		for _, p := range packets {
-			if len(p) > 0 {
-				sizes[from] = int(p[0])
-			}
+	for from, p := range inbox.Records() {
+		if len(p) > 0 {
+			sizes[from] = int(p[0])
 		}
 	}
 	return sizes, nil

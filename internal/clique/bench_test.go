@@ -60,8 +60,8 @@ func BenchmarkAllToAll(b *testing.B) {
 					if err != nil {
 						return err
 					}
-					if inbox.Count() != nd.N() {
-						return fmt.Errorf("node %d received %d packets, want %d", nd.ID(), inbox.Count(), nd.N())
+					if flatCount(inbox) != nd.N() {
+						return fmt.Errorf("node %d received %d packets, want %d", nd.ID(), flatCount(inbox), nd.N())
 					}
 				}
 				return nil

@@ -28,11 +28,11 @@
 // no lock, and no lock is ever contended while nodes compute. Per-edge and
 // per-node loads are accounted in dense scratch slices (O(1) per packet, no
 // hashing), payloads are copied into per-receiver arenas reused round over
-// round — as an Inbox indexed by sender (Exchange) or as a FlatInbox of
-// [from, len, payload...] records written with one append per packet
-// (ExchangeFlat, and every RunRounds step) — and sender-side buffers (for example the Mux's tagged packets) are
-// recycled through a sync.Pool, so a steady-state round allocates nothing
-// beyond the generation channel.
+// round as a FlatInbox of [from, len, payload...] records written with one
+// append per packet (what Exchange returns and every RunRounds step
+// receives), and sender-side buffers (for example the Mux's tagged packets)
+// are recycled through a sync.Pool, so a steady-state round allocates
+// nothing beyond the generation channel.
 //
 // Executions are deterministic: delivery scans senders in ascending id order
 // and node programs see identical inboxes and metrics on every run of the
@@ -63,8 +63,8 @@
 // Multiple Networks may run concurrently in one process (the public session
 // API pools them behind one handle). The locality rules:
 //
-//   - Engine-local, by ownership: the netBuffers delivery state (arenas,
-//     backbones, outboxes, Node structs) is checked out of the process-wide
+//   - Engine-local, by ownership: the netBuffers delivery state (receive
+//     arenas, outboxes, Node structs) is checked out of the process-wide
 //     netBufPool at New and owned exclusively by that Network until Close —
 //     two live Networks never share a buffer set. The shared-computation
 //     cache, metrics, cumulative totals and step accounting are plain fields

@@ -47,7 +47,7 @@ func TestDeliveryExactness(t *testing.T) {
 			for j, to := range dests(r, nd.ID()) {
 				nd.Send(to, mkPacket(r, nd.ID(), j, to))
 			}
-			inbox, err := nd.Exchange()
+			inbox, err := exchangeBySender(nd)
 			if err != nil {
 				return err
 			}
@@ -110,7 +110,7 @@ func TestConcurrentStress(t *testing.T) {
 					nd.Send(to, Packet{Word(nd.ID()), Word(r)})
 				}
 			}
-			inbox, err := nd.Exchange()
+			inbox, err := exchangeBySender(nd)
 			if err != nil {
 				return err
 			}
@@ -217,7 +217,7 @@ func workloadDigest(t *testing.T, opts ...Option) (uint64, Metrics) {
 				to := int(state % n)
 				nd.Send(to, Packet{Word(state >> 32), Word(r)})
 			}
-			inbox, err := nd.Exchange()
+			inbox, err := exchangeBySender(nd)
 			if err != nil {
 				return err
 			}
@@ -307,13 +307,13 @@ func TestSameRoundForwarding(t *testing.T) {
 		// Round 0: node i sends a tagged packet to i+1; round 1: the receiver
 		// forwards the received packet, un-cloned, another hop.
 		nd.Send((nd.ID()+1)%n, Packet{Word(nd.ID()), 42})
-		inbox, err := nd.Exchange()
+		inbox, err := exchangeBySender(nd)
 		if err != nil {
 			return err
 		}
 		p := inbox.Single((nd.ID() - 1 + n) % n)
 		nd.Send((nd.ID()+1)%n, p)
-		inbox, err = nd.Exchange()
+		inbox, err = exchangeBySender(nd)
 		if err != nil {
 			return err
 		}
@@ -496,7 +496,7 @@ func TestWithWorkersBlockingRun(t *testing.T) {
 	err = nw.Run(func(nd *Node) error {
 		for r := 0; r < 3; r++ {
 			nd.Broadcast(Packet{Word(nd.ID())})
-			inbox, err := nd.Exchange()
+			inbox, err := exchangeBySender(nd)
 			if err != nil {
 				return err
 			}
@@ -611,8 +611,8 @@ func TestRunRoundsFlatOrder(t *testing.T) {
 
 // TestRunRoundsFlatFramedAccounting: a SendFramed packet reaches the step's
 // FlatInbox with all its physical words but is charged its logical message
-// count and model words — the same Metrics the blocking ExchangeFlat and
-// Exchange paths report for the identical traffic.
+// count and model words — the same Metrics the blocking Exchange path
+// reports for the identical traffic.
 func TestRunRoundsFlatFramedAccounting(t *testing.T) {
 	t.Parallel()
 	const n = 4
@@ -647,27 +647,21 @@ func TestRunRoundsFlatFramedAccounting(t *testing.T) {
 	if stepped.TotalMessages != 3*n || stepped.TotalWords != 3*n || stepped.MaxEdgeWords != 2 || stepped.MaxEdgeMessages != 2 {
 		t.Fatalf("framed step accounting: %+v", stepped)
 	}
-	for _, flat := range []bool{false, true} {
-		nw, err := New(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = nw.Run(func(nd *Node) error {
-			nd.SendFramed((nd.ID()+1)%n, frame, 2, 2)
-			nd.Send(nd.ID(), Packet{Word(nd.ID())})
-			if flat {
-				_, err := nd.ExchangeFlat()
-				return err
-			}
-			_, err := nd.Exchange()
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m := nw.Metrics(); !reflect.DeepEqual(m, stepped) {
-			t.Fatalf("blocking (flat=%v) metrics %+v differ from step metrics %+v", flat, m, stepped)
-		}
+	nw, err := New(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = nw.Run(func(nd *Node) error {
+		nd.SendFramed((nd.ID()+1)%n, frame, 2, 2)
+		nd.Send(nd.ID(), Packet{Word(nd.ID())})
+		_, err := nd.Exchange()
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := nw.Metrics(); !reflect.DeepEqual(m, stepped) {
+		t.Fatalf("blocking metrics %+v differ from step metrics %+v", m, stepped)
 	}
 }
 

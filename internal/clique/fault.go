@@ -340,7 +340,7 @@ func (nw *Network) watchdogFire(round int, d time.Duration) {
 		nw.setFailure(fmt.Errorf("clique: round %d did not turn over within %v: waiting on %d of %d nodes (%s): %w",
 			round, d, len(waiting), nw.n, fmtNodeList(waiting), ErrRoundDeadline))
 	}
-	nw.gen.Load().release()
+	nw.gen.Load().release(nw.fail.Load())
 }
 
 // fmtNodeList renders a node-id list for watchdog diagnostics, truncated

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -19,7 +20,7 @@ func chaosProgram(rounds int, sums []int64) func(*Node) error {
 		for r := 0; r < rounds; r++ {
 			to := (nd.ID() + r + 1) % nd.N()
 			nd.Send(to, Packet{Word(acc)})
-			inbox, err := nd.Exchange()
+			inbox, err := exchangeBySender(nd)
 			if err != nil {
 				return err
 			}
@@ -430,8 +431,10 @@ func TestFailurePathDoesNotPoisonPooledBuffers(t *testing.T) {
 		if b.outboxes[i] != nil {
 			t.Fatalf("pooled netBuffers.outboxes[%d] still set after Close", i)
 		}
-		if b.inboxes[i] != nil {
-			t.Fatalf("pooled netBuffers.inboxes[%d] still set after Close", i)
+		for p := range b.wordArena {
+			if len(b.wordArena[p][i]) != 0 {
+				t.Fatalf("pooled netBuffers.wordArena[%d][%d] still holds records after Close", p, i)
+			}
 		}
 	}
 	for ai, arr := range backing {
@@ -577,5 +580,43 @@ func TestConcurrentFaultEngines(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Error(err)
 		}
+	}
+}
+
+// TestFailureSurfacesAtNextRound: a failure raised after a round has turned
+// over belongs to the next round. A node that is slow to leave the barrier —
+// here, waiting for its WithWorkers compute slot while a peer runs ahead and
+// crashes at round 2 — must still see its round-1 Exchange succeed, so the
+// error every survivor reports is the same in every replay.
+func TestFailureSurfacesAtNextRound(t *testing.T) {
+	const n, rounds, runs = 4, 4, 300
+	nw, err := New(n, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	var early atomic.Int32
+	for i := 0; i < runs; i++ {
+		nw.SetFaultPlan(&FaultPlan{Faults: []Fault{{Kind: FaultPanic, Node: 3, Round: 2}}})
+		err := nw.Run(func(nd *Node) error {
+			for r := 0; r < rounds; r++ {
+				for to := 0; to < n; to++ {
+					nd.Send(to, Packet{Word(r)})
+				}
+				if _, err := nd.Exchange(); err != nil {
+					if r < 2 {
+						early.Add(1)
+					}
+					return err
+				}
+			}
+			return nil
+		})
+		if !errors.Is(err, ErrFaultInjected) {
+			t.Fatalf("run %d: expected the injected panic, got %v", i, err)
+		}
+	}
+	if k := early.Load(); k > 0 {
+		t.Fatalf("%d Exchange calls before round 2 reported the round-2 panic in %d runs", k, runs)
 	}
 }

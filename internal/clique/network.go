@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"iter"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -40,8 +39,11 @@ type Exchanger interface {
 	// equivalent to SendFramed(to, data, 1, len(data)).
 	SendFramed(to int, data Packet, count, modelWords int)
 	// Exchange blocks until every active node has reached the barrier, then
-	// returns everything this node received in the round, indexed by sender.
-	Exchange() (Inbox, error)
+	// returns everything this node received in the round as a FlatInbox of
+	// [from, len, payload...] records in ascending sender order. On a
+	// FrameTagger whose FrameTag reports ok, the records are shared by every
+	// instance on the node and must be filtered by the tag.
+	Exchange() (FlatInbox, error)
 	// CountSteps adds k to this node's self-reported local-computation step
 	// counter (Section 5 accounting). It is a no-op for k <= 0.
 	CountSteps(k int)
@@ -59,17 +61,8 @@ type Exchanger interface {
 	SharedComputeKeyed(key SharedKey, f func() interface{}) interface{}
 }
 
-// FlatExchanger is implemented by exchangers that additionally offer the flat
-// receive path: ExchangeFlat returns the round's traffic as raw [from, len,
-// payload...] records instead of an assembled Inbox. Both the physical Node
-// and the Mux's VNode implement it, so the flat-frame protocol layer can use
-// the cheap receive representation whether it runs directly on the engine or
-// multiplexed on a virtual node.
-type FlatExchanger interface {
-	Exchanger
-	// ExchangeFlat is Exchange returning the round's packets as a FlatInbox.
-	ExchangeFlat() (FlatInbox, error)
-}
+// Deprecated: every Exchanger delivers a FlatInbox; use Exchanger.
+type FlatExchanger = Exchanger
 
 // FrameTagger is implemented by exchangers whose wire frames carry a leading
 // instance-tag word — the Mux's virtual nodes when they run directly on the
@@ -82,7 +75,7 @@ type FlatExchanger interface {
 // SendFramed and receive pre-demultiplexed, untagged records.
 type FrameTagger interface {
 	// FrameTag returns the tag word senders must place in data[0] of
-	// SendTagged frames and receivers must filter ExchangeFlat records by.
+	// SendTagged frames and receivers must filter Exchange records by.
 	FrameTag() (tag Word, ok bool)
 	// SendTagged queues one pre-tagged frame (data[0] must equal the tag).
 	// Accounting matches SendFramed plus one tag word per logical message,
@@ -104,19 +97,28 @@ type SharedKey struct {
 
 // generation is one epoch of the round barrier. Nodes that arrive before the
 // round is complete park on done; the round's deliverer closes it after
-// swapping outboxes into inboxes, which both wakes the waiters and publishes
-// (in the memory-model sense) everything the delivery phase wrote.
+// delivering the round, which both wakes the waiters and publishes (in the
+// memory-model sense) everything the delivery phase wrote.
 type generation struct {
 	done     chan struct{}
 	released atomic.Bool
+	// err is the run's failure as of the release, written before done is
+	// closed. It is the round's verdict: a failure recorded after the round
+	// turned over (a peer crashing in the next round before a slow waiter
+	// wakes) belongs to the next round, not this one.
+	err error
 }
 
-// release closes done exactly once. The barrier has two legitimate releasers
-// — the round's deliverer (or a failing node completing the round on a
-// straggler's behalf) and the round watchdog — and they may race, so every
-// close of a generation goes through this CAS.
-func (g *generation) release() {
+// release closes done exactly once, recording f as the round's verdict. The
+// barrier has two legitimate releasers — the round's deliverer (or a
+// failing node completing the round on a straggler's behalf) and the round
+// watchdog — and they may race, so every close of a generation goes through
+// this CAS.
+func (g *generation) release(f *failure) {
 	if g.released.CompareAndSwap(false, true) {
+		if f != nil {
+			g.err = f.err
+		}
 		close(g.done)
 	}
 }
@@ -128,13 +130,11 @@ type failure struct{ err error }
 // activeOne is the increment of the live-node half of Network.state.
 const activeOne = uint64(1) << 32
 
-// recvScratch is the per-receiver round state of the deliverer: the sender
-// of the receiver's currently open header-arena segment, the segment start,
-// and the words received so far this round.
+// recvScratch is the per-receiver round state of the deliverer: whether the
+// receiver is listed in recvTouch, and the words received so far this round.
 type recvScratch struct {
-	lastFrom int32
-	segStart int32
-	words    int32
+	touched bool
+	words   int32
 }
 
 // payloadRingDepth is the number of per-receiver payload arenas cycled
@@ -163,15 +163,16 @@ func stateParts(s uint64) (active, arrived uint32) {
 // nodes (high 32 bits) and the number of arrived nodes (low 32 bits); the
 // arrival that makes the two halves equal elects that goroutine the round's
 // deliverer. Delivery therefore runs while every other live node is parked on
-// the current generation's channel, so it swaps outboxes into inboxes and
-// computes the round statistics without holding any lock, and no lock is ever
-// held, contended or otherwise, while a node computes.
+// the current generation's channel, so it copies outboxes into receive
+// arenas and computes the round statistics without holding any lock, and no
+// lock is ever held, contended or otherwise, while a node computes.
 //
-// Delivery copies payload words into per-receiver arenas cycled on a
-// payloadRingDepth-round ring (so received words stay valid for
-// PayloadGraceRounds further barriers and can be re-sent without cloning),
-// and tracks per-edge load in dense per-node scratch slices: O(1) per packet
-// with no hashing and no per-round allocation in steady state.
+// Delivery appends one [from, len, payload...] record per packet to
+// per-receiver arenas cycled on a payloadRingDepth-round ring (so received
+// words stay valid for PayloadGraceRounds further barriers and can be
+// re-sent without cloning), and tracks per-edge load in dense per-node
+// scratch slices: O(1) per packet with no hashing and no per-round
+// allocation in steady state.
 type Network struct {
 	n   int
 	cfg config
@@ -198,25 +199,14 @@ type Network struct {
 	// outboxes[i] is published by node i when it arrives at the barrier and
 	// consumed (and nilled) by the deliverer.
 	outboxes [][]pendingPacket
-	// inboxes[i] is set by the deliverer iff node i received traffic this
-	// round; the owner consumes and nils it after the barrier.
-	inboxes  []Inbox
 	departed []bool
-	// flat[i] is published by node i alongside its outbox (set once for a
-	// whole RunRounds run): true makes delivery write the node's traffic as
-	// flat [from, len, payload...] records into the word arena instead of
-	// building an Inbox (no header arena, no backbone).
-	flat []bool
 
-	// Per-receiver delivery buffers, reused round over round. backbone[t] is
-	// the Inbox handed to node t and hdrArena[t] holds the packet headers;
-	// both are retired (cleared or resliced, keeping capacity) by the owning
-	// node when it next arrives at the barrier. wordArena[r%payloadRingDepth][t]
-	// holds the payload words copied for node t in round r; the ring keeps
+	// Per-receiver delivery buffers, reused round over round.
+	// wordArena[r%payloadRingDepth][t] holds the FlatInbox records delivered
+	// to node t in round r, resliced (keeping capacity) by the owning node
+	// when it arrives at the barrier that overwrites it; the ring keeps
 	// received words valid for PayloadGraceRounds further barriers. Growth is
 	// append-only, so views created before a reallocation stay valid.
-	backbone  []Inbox
-	hdrArena  [][]Packet
 	wordArena [payloadRingDepth][][]Word
 
 	// Deliverer scratch, indexed densely by node id. destLoad packs the
@@ -228,9 +218,6 @@ type Network struct {
 	recv      []recvScratch
 	edgeTouch []int32
 	recvTouch []int32
-	// setFrom[t] lists the backbone entries populated for receiver t this
-	// round, so retire clears O(traffic) entries instead of all n.
-	setFrom [][]int32
 
 	// sem, when non-nil, bounds the number of concurrently computing node
 	// goroutines in Run (see WithWorkers).
@@ -282,17 +269,12 @@ type Network struct {
 type netBuffers struct {
 	n         int
 	outboxes  [][]pendingPacket
-	inboxes   []Inbox
 	departed  []bool
-	flat      []bool
-	backbone  []Inbox
-	hdrArena  [][]Packet
 	wordArena [payloadRingDepth][][]Word
 	recv      []recvScratch
 	destLoad  []uint64
 	edgeTouch []int32
 	recvTouch []int32
-	setFrom   [][]int32
 	// nodes and pending recycle the per-run node state of the blocking Run
 	// path: the Node structs themselves and each node's outbox backing array
 	// (cleared of packet references at leave so no payload memory is
@@ -309,41 +291,27 @@ func acquireNetBuffers(n int) *netBuffers {
 	b := netBufPool.Get().(*netBuffers)
 	if b.n < n {
 		b.outboxes = make([][]pendingPacket, n)
-		b.inboxes = make([]Inbox, n)
 		b.departed = make([]bool, n)
-		b.flat = make([]bool, n)
-		b.backbone = make([]Inbox, n)
-		b.hdrArena = make([][]Packet, n)
 		for p := range b.wordArena {
 			b.wordArena[p] = make([][]Word, n)
 		}
 		b.recv = make([]recvScratch, n)
 		b.destLoad = make([]uint64, n)
-		b.setFrom = make([][]int32, n)
 		b.nodes = make([]Node, n)
 		b.pending = make([][]pendingPacket, n)
 		b.n = n
 	}
 	for i := 0; i < n; i++ {
-		b.recv[i].lastFrom = -1
-		b.recv[i].words = 0
+		b.recv[i] = recvScratch{}
 		b.departed[i] = false
-		b.flat[i] = false
 		b.destLoad[i] = 0
 		b.outboxes[i] = nil
-		b.inboxes[i] = nil
-		// Inner backbones are sized for the network that created them; one
-		// inherited from a smaller network must not be indexed by a larger
-		// one (delivery would index backbone[to][from] out of range).
-		if len(b.backbone[i]) < n {
-			b.backbone[i] = nil
-		}
 	}
 	return b
 }
 
 // releaseBuffers cleans the delivery state left over from the final rounds
-// (whose inboxes were never retired by the departed nodes) and returns it to
+// (whose arenas were never retired by the departed nodes) and returns it to
 // the pool. It is called by Close; after this point any packet views
 // previously handed out may be overwritten by a future Network.
 func (nw *Network) releaseBuffers() {
@@ -354,12 +322,6 @@ func (nw *Network) releaseBuffers() {
 	nw.buffers = nil
 	n := nw.n
 	for t := 0; t < n; t++ {
-		if bb := b.backbone[t]; bb != nil {
-			for _, f := range b.setFrom[t] {
-				bb[f] = nil
-			}
-			b.setFrom[t] = b.setFrom[t][:0]
-		}
 		// A run that failed between publish and delivery (injected
 		// cancellation, watchdog fire, delivery panic) leaves published
 		// outboxes unconsumed; their pendingPacket entries reference
@@ -369,10 +331,6 @@ func (nw *Network) releaseBuffers() {
 			clear(out[:cap(out)])
 			b.outboxes[t] = nil
 		}
-		b.inboxes[t] = nil
-		ha := b.hdrArena[t]
-		clear(ha[:cap(ha)])
-		b.hdrArena[t] = ha[:0]
 		for p := range b.wordArena {
 			if b.wordArena[p][t] != nil {
 				b.wordArena[p][t] = b.wordArena[p][t][:0]
@@ -403,17 +361,12 @@ func New(n int, opts ...Option) (*Network, error) {
 		cfg:       cfg,
 		buffers:   b,
 		outboxes:  b.outboxes,
-		inboxes:   b.inboxes,
 		departed:  b.departed,
-		flat:      b.flat,
-		backbone:  b.backbone,
-		hdrArena:  b.hdrArena,
 		wordArena: b.wordArena,
 		recv:      b.recv,
 		destLoad:  b.destLoad,
 		edgeTouch: b.edgeTouch,
 		recvTouch: b.recvTouch,
-		setFrom:   b.setFrom,
 		shared:    make(map[string]interface{}),
 		sharedK:   make(map[SharedKey]interface{}),
 		steps:     make(map[int]int64),
@@ -491,25 +444,15 @@ func (nw *Network) endRun(completed bool) {
 func (nw *Network) resetRun() {
 	b := nw.buffers
 	for t := 0; t < nw.n; t++ {
-		if bb := b.backbone[t]; bb != nil {
-			for _, f := range b.setFrom[t] {
-				bb[f] = nil
-			}
-			b.setFrom[t] = b.setFrom[t][:0]
-		}
-		b.hdrArena[t] = b.hdrArena[t][:0]
 		for p := range b.wordArena {
 			if b.wordArena[p][t] != nil {
 				b.wordArena[p][t] = b.wordArena[p][t][:0]
 			}
 		}
-		b.recv[t].lastFrom = -1
-		b.recv[t].words = 0
+		b.recv[t] = recvScratch{}
 		b.departed[t] = false
-		b.flat[t] = false
 		b.destLoad[t] = 0
 		b.outboxes[t] = nil
-		b.inboxes[t] = nil
 	}
 	nw.edgeTouch = nw.edgeTouch[:0]
 	nw.recvTouch = nw.recvTouch[:0]
@@ -767,7 +710,7 @@ type StepFunc func(nd *Node, round int, inbox FlatInbox) (done bool, err error)
 // of one goroutine per node as Run does. This is the scheduler to use for
 // very large cliques: n >= 10^4 logical nodes run on a handful of goroutines
 // with no parked stacks. Within a round each worker sweeps a contiguous shard
-// of nodes; every step receives its traffic as ExchangeFlat would, metrics
+// of nodes; every step receives its traffic as Exchange would, metrics
 // are identical to Run, and executions are deterministic for any worker
 // count. Like Run, it may be called repeatedly on one Network (never
 // concurrently).
@@ -807,7 +750,6 @@ func (nw *Network) RunRoundsContext(ctx context.Context, step StepFunc) error {
 	nodes := make([]*Node, nw.n)
 	for i := range nodes {
 		nodes[i] = &Node{nw: nw, id: i, stepMode: true}
-		nw.flat[i] = true // every step receives its traffic as a FlatInbox
 	}
 	errs := make([]error, nw.n)
 	watching := nw.startWatchdogRun()
@@ -1118,80 +1060,38 @@ func (nd *Node) SharedComputeKeyed(key SharedKey, f func() interface{}) interfac
 	return v
 }
 
-// retire recycles the receive buffers handed out with this node's previous
-// inbox. The node owns its slots until it arrives at the barrier, so no
-// synchronisation is needed. Only the word arena about to be written this
-// round is resliced, which is what keeps recently received payloads valid
-// for PayloadGraceRounds barriers (same-round forwarding and the
-// constant-round re-send patterns of the primitives).
+// retire reslices the word arena about to be written this round. The node
+// owns its slot until it arrives at the barrier, so no synchronisation is
+// needed. Leaving the other ring slots alone is what keeps recently received
+// payloads valid for PayloadGraceRounds barriers (same-round forwarding and
+// the constant-round re-send patterns of the primitives).
 func (nd *Node) retire() {
-	nw := nd.nw
-	if bb := nw.backbone[nd.id]; bb != nil {
-		for _, f := range nw.setFrom[nd.id] {
-			bb[f] = nil
-		}
-		nw.setFrom[nd.id] = nw.setFrom[nd.id][:0]
-	}
-	nw.hdrArena[nd.id] = nw.hdrArena[nd.id][:0]
 	p := nd.round % payloadRingDepth
-	nw.wordArena[p][nd.id] = nw.wordArena[p][nd.id][:0]
+	nd.nw.wordArena[p][nd.id] = nd.nw.wordArena[p][nd.id][:0]
 }
 
 // Exchange implements the synchronous round barrier (see the Network type
-// documentation for the two-phase design). The returned Inbox and the packets
-// inside it are engine-owned: they are valid until this node's next Exchange
-// call, at which point their buffers are recycled.
-func (nd *Node) Exchange() (Inbox, error) {
-	if err := nd.exchangeBarrier(false); err != nil {
-		return nil, err
-	}
-	inbox := nd.nw.inboxes[nd.id]
-	nd.nw.inboxes[nd.id] = nil
-	return inbox, nil
-}
-
-// FlatInbox is the flat receive representation of one round: a sequence of
-// [from, len, payload...] records, one per physical packet, in ascending
-// sender order (send order within a sender). The words are engine-owned
-// views into the receive arena and follow the same lifetime rules as Inbox
-// packets (valid until the node's next exchange or step call, payloads for
-// PayloadGraceRounds further barriers).
-type FlatInbox []Word
-
-// Records yields the inbox's records as (sender, payload) pairs in delivery
-// order; each payload is a capacity-capped view into the inbox. The engine
-// only produces well-formed inboxes; a truncated one panics.
-func (f FlatInbox) Records() iter.Seq2[int, Packet] {
-	return func(yield func(int, Packet) bool) {
-		for i := 0; i < len(f); {
-			end := i + 2 + int(f[i+1])
-			if !yield(int(f[i]), Packet(f[i+2:end:end])) {
-				return
-			}
-			i = end
-		}
-	}
-}
-
-// ExchangeFlat is Exchange for receivers that want the round's traffic as a
-// FlatInbox. Skipping the Inbox assembly (header arena, backbone) makes
-// delivery one append per packet; it is the receive path of the flat-frame
-// protocol layer and of every RunRounds step, which decode the records
-// directly.
-func (nd *Node) ExchangeFlat() (FlatInbox, error) {
+// documentation for the two-phase design) and returns the round's traffic
+// as a FlatInbox: a view of the receive arena the deliverer wrote, so the
+// receive work is one append per packet and the receiver's decoding is
+// proportional to its traffic, not to n.
+func (nd *Node) Exchange() (FlatInbox, error) {
 	// The round the packets were delivered in is nd.round before
 	// exchangeBarrier increments it.
 	slot := nd.round % payloadRingDepth
-	if err := nd.exchangeBarrier(true); err != nil {
+	if err := nd.exchangeBarrier(); err != nil {
 		return nil, err
 	}
 	return FlatInbox(nd.nw.wordArena[slot][nd.id]), nil
 }
 
-// exchangeBarrier publishes the node's outbox and receive mode, arrives at
-// the round barrier (delivering the round if it is the last arrival), and
-// returns once the round has turned over.
-func (nd *Node) exchangeBarrier(flat bool) error {
+// Deprecated: use Exchange, which returns the same FlatInbox.
+func (nd *Node) ExchangeFlat() (FlatInbox, error) { return nd.Exchange() }
+
+// exchangeBarrier publishes the node's outbox, arrives at the round barrier
+// (delivering the round if it is the last arrival), and returns once the
+// round has turned over with the round's verdict.
+func (nd *Node) exchangeBarrier() error {
 	nw := nd.nw
 	if nd.stepMode {
 		return errors.New("clique: Exchange is driven by the engine in RunRounds mode")
@@ -1221,11 +1121,9 @@ func (nd *Node) exchangeBarrier(flat bool) error {
 
 	nd.retire()
 
-	// Publish the outbox and receive mode; the slots are not read until
-	// every node has arrived.
+	// Publish the outbox; the slot is not read until every node has arrived.
 	published := nd.pending
 	nw.outboxes[nd.id] = published
-	nw.flat[nd.id] = flat
 	nd.pending = nil
 
 	// The generation must be loaded before arriving: the round cannot turn
@@ -1237,20 +1135,21 @@ func (nd *Node) exchangeBarrier(flat bool) error {
 	nw.noteArrival(nd.id, nd.round, false)
 	active, arrived := stateParts(nw.state.Add(1))
 	if arrived == active {
-		if nw.fail.Load() == nil {
+		if f := nw.fail.Load(); f == nil {
 			nw.deliver(g)
 		} else {
-			g.release() // free stragglers; the run is already failed
+			g.release(f) // free stragglers; the run is already failed
 		}
-	} else {
-		<-g.done
 	}
+	// The deliverer waits too: the watchdog may have won g's release, and
+	// the receive is what orders its write of g.err before the read below.
+	<-g.done
 	if nw.sem != nil {
 		<-nw.sem
 	}
 
-	if f := nw.fail.Load(); f != nil {
-		return f.err
+	if g.err != nil {
+		return g.err
 	}
 	nd.pending = published[:0]
 	nd.round++
@@ -1288,10 +1187,10 @@ func (nw *Network) leave(nd *Node) {
 	nw.noteArrival(nd.id, 0, true)
 	active, arrived := stateParts(nw.state.Add(^activeOne + 1))
 	if active > 0 && arrived == active {
-		if nw.fail.Load() == nil {
+		if f := nw.fail.Load(); f == nil {
 			nw.deliver(g)
 		} else {
-			g.release()
+			g.release(f)
 		}
 	}
 }
@@ -1310,7 +1209,7 @@ func (nw *Network) deliver(g *generation) {
 			nw.setFailure(fmt.Errorf("clique: delivery panicked: %v", r))
 			nw.state.Store(nw.state.Load() >> 32 << 32)
 			nw.gen.Store(&generation{done: make(chan struct{})})
-			g.release()
+			g.release(nw.fail.Load())
 			panic(r)
 		}
 	}()
@@ -1322,20 +1221,20 @@ func (nw *Network) deliver(g *generation) {
 		nw.setFailure(fmt.Errorf("clique: run cancelled at round %d turn-over: %w", round, ErrFaultInjected))
 		nw.state.Store(nw.state.Load() >> 32 << 32)
 		nw.gen.Store(&generation{done: make(chan struct{})})
-		g.release()
+		g.release(nw.fail.Load())
 		return
 	}
 	nw.deliverRound()
 	nw.state.Store(nw.state.Load() >> 32 << 32)
 	nw.gen.Store(&generation{done: make(chan struct{})})
-	g.release()
+	g.release(nw.fail.Load())
 }
 
-// deliverRound swaps every published outbox into the destination inboxes and
-// folds the round statistics into the metrics. Per-edge and per-node loads
-// are tracked in dense scratch slices — O(1) per packet, no hashing — and
-// payloads are copied into per-receiver arenas that are reused round over
-// round, so a steady-state round allocates nothing.
+// deliverRound appends every published outbox to the destinations' receive
+// arenas as FlatInbox records and folds the round statistics into the
+// metrics. Per-edge and per-node loads are tracked in dense scratch slices —
+// O(1) per packet, no hashing — and the arenas are reused round over round,
+// so a steady-state round allocates nothing.
 func (nw *Network) deliverRound() {
 	round := int(nw.round.Load())
 	arena := nw.wordArena[round%payloadRingDepth]
@@ -1351,9 +1250,7 @@ func (nw *Network) deliverRound() {
 	// keeping these in locals (written back at the end) saves a pointer chase
 	// per access.
 	departed := nw.departed
-	flat := nw.flat
 	recv := nw.recv
-	hdrArenas := nw.hdrArena
 	destLoad := nw.destLoad
 	edgeTouch := nw.edgeTouch
 	recvTouch := nw.recvTouch
@@ -1379,10 +1276,11 @@ func (nw *Network) deliverRound() {
 			// frame bookkeeping).
 			w := int(pp.model)
 
-			// Copy the payload into the receiver's word arena and append the
-			// header to its header arena. Growth is append-only, so views
-			// created before a reallocation keep reading valid memory. A ring
-			// slot touched for the first time is presized from the previous
+			// Append one [from, len, payload...] record to the receiver's
+			// word arena; senders are scanned in ascending order, which is
+			// the FlatInbox order. Growth is append-only, so views created
+			// before a reallocation keep reading valid memory. A ring slot
+			// touched for the first time is presized from the previous
 			// round's volume, skipping the geometric growth re-runs in the
 			// first payloadRingDepth rounds.
 			wa := arena[to]
@@ -1391,43 +1289,13 @@ func (nw *Network) deliverRound() {
 					wa = make([]Word, 0, prev+prev/4)
 				}
 			}
+			wa = append(wa, Word(from), Word(len(pp.data)))
+			arena[to] = append(wa, pp.data...)
 
 			rs := &recv[to]
-			if flat[to] {
-				// Flat receiver: one [from, len, payload...] record appended
-				// to the word arena is the entire delivery — no header arena,
-				// no backbone.
-				wa = append(wa, Word(from), Word(len(pp.data)))
-				wa = append(wa, pp.data...)
-				arena[to] = wa
-				if rs.lastFrom == -1 {
-					recvTouch = append(recvTouch, int32(to))
-					rs.lastFrom = -2 // touched, but no open segment
-				}
-			} else {
-				pos := len(wa)
-				wa = append(wa, pp.data...)
-				arena[to] = wa
-				data := wa[pos:len(wa):len(wa)]
-				ha := hdrArenas[to]
-				// Senders are scanned in ascending order, so the packets of
-				// one sender form a contiguous segment of the receiver's
-				// header arena; a sender change closes the previous segment.
-				if rs.lastFrom != int32(from) {
-					if rs.lastFrom == -1 { // first packet for `to` this round
-						recvTouch = append(recvTouch, int32(to))
-						if nw.backbone[to] == nil {
-							nw.backbone[to] = make(Inbox, nw.n)
-						}
-						nw.inboxes[to] = nw.backbone[to]
-					} else {
-						nw.backbone[to][rs.lastFrom] = ha[rs.segStart:len(ha):len(ha)]
-						nw.setFrom[to] = append(nw.setFrom[to], rs.lastFrom)
-					}
-					rs.lastFrom = int32(from)
-					rs.segStart = int32(len(ha))
-				}
-				hdrArenas[to] = append(ha, data)
+			if !rs.touched {
+				recvTouch = append(recvTouch, int32(to))
+				rs.touched = true
 			}
 
 			if destLoad[to] == 0 {
@@ -1458,13 +1326,10 @@ func (nw *Network) deliverRound() {
 	nw.edgeTouch = edgeTouch
 
 	for _, t := range recvTouch {
-		nw.flushSegment(int(t))
-		rs := &recv[t]
-		rs.lastFrom = -1
-		if w := int(rs.words); w > stats.MaxNodeRecvWords {
+		if w := int(recv[t].words); w > stats.MaxNodeRecvWords {
 			stats.MaxNodeRecvWords = w
 		}
-		rs.words = 0
+		recv[t] = recvScratch{}
 	}
 	nw.recvTouch = recvTouch[:0]
 
@@ -1485,17 +1350,4 @@ func (nw *Network) deliverRound() {
 	nw.metricsMu.Unlock()
 
 	nw.round.Store(int64(round + 1))
-}
-
-// flushSegment closes the receiver's current header-arena segment, exposing
-// it in the receiver's backbone as the inbox entry of the sender that
-// produced it.
-func (nw *Network) flushSegment(to int) {
-	lf := nw.recv[to].lastFrom
-	if lf < 0 {
-		return
-	}
-	ha := nw.hdrArena[to]
-	nw.backbone[to][lf] = ha[nw.recv[to].segStart:len(ha):len(ha)]
-	nw.setFrom[to] = append(nw.setFrom[to], lf)
 }

@@ -34,7 +34,7 @@ func TestSingleRoundAllToAll(t *testing.T) {
 		for to := 0; to < n; to++ {
 			nd.Send(to, Packet{Word(nd.ID()*100 + to)})
 		}
-		inbox, err := nd.Exchange()
+		inbox, err := exchangeBySender(nd)
 		if err != nil {
 			return err
 		}
@@ -77,7 +77,7 @@ func TestMultiRoundRelay(t *testing.T) {
 	err = nw.Run(func(nd *Node) error {
 		n := nd.N()
 		nd.Send((nd.ID()+1)%n, Packet{Word(nd.ID())})
-		inbox, err := nd.Exchange()
+		inbox, err := exchangeBySender(nd)
 		if err != nil {
 			return err
 		}
@@ -92,7 +92,7 @@ func TestMultiRoundRelay(t *testing.T) {
 		}
 		orig := int(got[0])
 		nd.Send((orig+2)%n, Packet{got[0]})
-		inbox, err = nd.Exchange()
+		inbox, err = exchangeBySender(nd)
 		if err != nil {
 			return err
 		}
@@ -170,7 +170,7 @@ func TestNodesFinishingAtDifferentRounds(t *testing.T) {
 			if nd.ID() != 0 && r == 0 {
 				nd.Send(0, Packet{Word(nd.ID())})
 			}
-			inbox, err := nd.Exchange()
+			inbox, err := exchangeBySender(nd)
 			if err != nil {
 				return err
 			}
@@ -236,7 +236,7 @@ func TestRunReuseAndClose(t *testing.T) {
 	}
 	program := func(nd *Node) error {
 		nd.Broadcast(Packet{Word(nd.ID())})
-		inbox, err := nd.Exchange()
+		inbox, err := exchangeBySender(nd)
 		if err != nil {
 			return err
 		}
@@ -281,7 +281,7 @@ func TestBroadcast(t *testing.T) {
 	}
 	err = nw.Run(func(nd *Node) error {
 		nd.Broadcast(Packet{Word(nd.ID())})
-		inbox, err := nd.Exchange()
+		inbox, err := exchangeBySender(nd)
 		if err != nil {
 			return err
 		}
@@ -437,28 +437,63 @@ func TestSendToInvalidDestinationPanics(t *testing.T) {
 	}
 }
 
-func TestInboxHelpers(t *testing.T) {
-	t.Parallel()
-	var in Inbox
-	if in.Count() != 0 || in.Words() != 0 || in.Single(3) != nil || in.From(1) != nil {
-		t.Fatal("nil inbox helpers misbehave")
+// senders is one round's traffic regrouped by sender: senders[s] lists the
+// packets node s sent this round, in send order.
+type senders [][]Packet
+
+// exchangeBySender runs ex's round barrier and regroups the FlatInbox by
+// sender. A passthrough Mux instance shares its node's raw inbox, so its
+// records are filtered by the instance's frame tag and the tag stripped, as
+// a protocol receiver does.
+func exchangeBySender(ex Exchanger) (senders, error) {
+	in, err := ex.Exchange()
+	if err != nil {
+		return nil, err
 	}
-	in = Inbox{nil, {Packet{1, 2}}, {Packet{3}, Packet{4, 5, 6}}}
-	if in.Count() != 3 {
-		t.Fatalf("count = %d, want 3", in.Count())
+	var tag Word
+	tagged := false
+	if ft, ok := ex.(FrameTagger); ok {
+		tag, tagged = ft.FrameTag()
 	}
-	if in.Words() != 6 {
-		t.Fatalf("words = %d, want 6", in.Words())
+	var s senders
+	for from, p := range in.Records() {
+		if tagged {
+			if len(p) == 0 || p[0] != tag {
+				continue
+			}
+			p = p[1:]
+		}
+		for len(s) <= from {
+			s = append(s, nil)
+		}
+		s[from] = append(s[from], p)
 	}
-	if p := in.Single(2); p == nil || p[0] != 3 {
-		t.Fatalf("single(2) = %v", p)
+	return s, nil
+}
+
+// From returns the packets received from sender i (nil if none).
+func (s senders) From(i int) []Packet {
+	if i < 0 || i >= len(s) {
+		return nil
 	}
-	if in.Single(0) != nil {
-		t.Fatal("single(0) should be nil")
+	return s[i]
+}
+
+// Single returns the first packet received from sender i, or nil.
+func (s senders) Single(i int) Packet {
+	if ps := s.From(i); len(ps) > 0 {
+		return ps[0]
 	}
-	if in.From(10) != nil {
-		t.Fatal("From out of range should be nil")
+	return nil
+}
+
+// Count returns the number of packets received.
+func (s senders) Count() int {
+	total := 0
+	for _, ps := range s {
+		total += len(ps)
 	}
+	return total
 }
 
 func TestPacketClone(t *testing.T) {

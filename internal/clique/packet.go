@@ -1,6 +1,9 @@
 package clique
 
-import "sync"
+import (
+	"iter"
+	"sync"
+)
 
 // Word is the unit of message payload. The congested-clique model allows a
 // constant number of integers that are polynomially bounded in n per message;
@@ -13,18 +16,17 @@ type Word = int64
 //
 // Lifetimes: the engine copies sent payloads during delivery, so a sender may
 // reuse its buffer as soon as its next Exchange returns (under RunRounds, in
-// its next step call). Received packets are engine-owned views into
-// per-receiver arenas. An Inbox and its packet headers, or a FlatInbox's
-// records (ExchangeFlat, and the inbox of every RunRounds step), stay valid
-// until the receiver's next exchange or step call; the payload words stay
-// valid for PayloadGraceRounds further barriers, so a received packet may be
-// forwarded verbatim within that window (this covers
-// the paper's constant-round primitives, which re-send received words after
-// at most two intervening announcement rounds). Callers that retain packet
-// contents beyond the grace window must Clone them. All received views
-// expire, at the latest, when Run or RunRounds returns: the engine's
-// delivery buffers are pooled across Network instances, so a future Network
-// may recycle them — node programs must copy anything that outlives the run.
+// its next step call). Received packets are views into per-receiver
+// arenas: a FlatInbox's records stay valid until the receiver's next
+// exchange or step call, and their payload words for PayloadGraceRounds
+// further barriers, so a received packet may be forwarded verbatim within
+// that window (this covers the paper's constant-round primitives, which
+// re-send received words after at most two intervening announcement
+// rounds). Callers that retain packet contents beyond the grace window must
+// Clone them. All received views expire, at the latest, when Run or
+// RunRounds returns: the engine's delivery buffers are pooled across
+// Network instances, so a future Network may recycle them — node programs
+// must copy anything that outlives the run.
 type Packet []Word
 
 // Clone returns an independent copy of the packet. Packets received from
@@ -77,48 +79,26 @@ func releaseWords(b *[]Word) {
 	wordBufPool.Put(b)
 }
 
-// Inbox holds everything a node received in one round, indexed by sender.
-// Inbox[s] is the list of packets sent by node s this round (nil if none).
-type Inbox [][]Packet
+// FlatInbox is the receive representation of one round: a sequence of
+// [from, len, payload...] records, one per physical packet, in ascending
+// sender order (send order within a sender). The words are engine-owned
+// views into the receive arena (see the Packet lifetime rules).
+type FlatInbox []Word
 
-// From returns the packets received from sender s. It is a convenience
-// accessor that tolerates a short or nil inbox.
-func (in Inbox) From(s int) []Packet {
-	if s < 0 || s >= len(in) {
-		return nil
-	}
-	return in[s]
-}
+// Deprecated: Exchange returns a FlatInbox; use FlatInbox.
+type Inbox = FlatInbox
 
-// Single returns the unique packet received from sender s, or nil if none was
-// received. It is used by protocols whose invariant is "at most one packet
-// per edge per round"; if the invariant is violated the first packet is
-// returned (the violation itself surfaces through the engine's metrics or the
-// strict bandwidth cap).
-func (in Inbox) Single(s int) Packet {
-	ps := in.From(s)
-	if len(ps) == 0 {
-		return nil
-	}
-	return ps[0]
-}
-
-// Count returns the total number of packets in the inbox.
-func (in Inbox) Count() int {
-	total := 0
-	for _, ps := range in {
-		total += len(ps)
-	}
-	return total
-}
-
-// Words returns the total number of words in the inbox.
-func (in Inbox) Words() int {
-	total := 0
-	for _, ps := range in {
-		for _, p := range ps {
-			total += len(p)
+// Records yields the inbox's records as (sender, payload) pairs in delivery
+// order; each payload is a capacity-capped view into the inbox. The engine
+// only produces well-formed inboxes; a truncated one panics.
+func (f FlatInbox) Records() iter.Seq2[int, Packet] {
+	return func(yield func(int, Packet) bool) {
+		for i := 0; i < len(f); {
+			end := i + 2 + int(f[i+1])
+			if !yield(int(f[i]), Packet(f[i+2:end:end])) {
+				return
+			}
+			i = end
 		}
 	}
-	return total
 }

@@ -126,7 +126,7 @@ func TestMixedRunModesReuse(t *testing.T) {
 
 	blocking := func(nd *Node) error {
 		nd.Broadcast(Packet{Word(nd.ID()), Word(7)})
-		inbox, err := nd.Exchange()
+		inbox, err := exchangeBySender(nd)
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -29,7 +30,7 @@ func TestMuxTwoInstancesLockstep(t *testing.T) {
 				for to := 0; to < ex.N(); to++ {
 					ex.Send(to, Packet{tagBase + Word(r), Word(ex.ID())})
 				}
-				inbox, err := ex.Exchange()
+				inbox, err := exchangeBySender(ex)
 				if err != nil {
 					return err
 				}
@@ -83,7 +84,7 @@ func TestMuxSubsetInstance(t *testing.T) {
 	globalProgram := func(ex Exchanger) error {
 		for r := 0; r < 3; r++ {
 			ex.Send((ex.ID()+1)%ex.N(), Packet{Word(ex.ID())})
-			inbox, err := ex.Exchange()
+			inbox, err := exchangeBySender(ex)
 			if err != nil {
 				return err
 			}
@@ -100,7 +101,7 @@ func TestMuxSubsetInstance(t *testing.T) {
 			for to := 0; to < 4; to++ {
 				ex.Send(to, Packet{Word(100 + ex.ID())})
 			}
-			inbox, err := ex.Exchange()
+			inbox, err := exchangeBySender(ex)
 			if err != nil {
 				return err
 			}
@@ -204,7 +205,7 @@ func TestMuxPanicFailsRunFast(t *testing.T) {
 						boom(ex, r)
 					}
 					ex.Send((ex.ID()+r+1)%ex.N(), Packet{base, Word(ex.ID())})
-					inbox, err := ex.Exchange()
+					inbox, err := exchangeBySender(ex)
 					if err != nil {
 						return err
 					}
@@ -215,7 +216,8 @@ func TestMuxPanicFailsRunFast(t *testing.T) {
 					}
 				}
 				if sums != nil {
-					sums[ex.ID()] += acc
+					// Both instances of a node add to its slot concurrently.
+					atomic.AddInt64(&sums[ex.ID()], acc)
 				}
 				return nil
 			}
@@ -320,5 +322,55 @@ func TestVNodeDelegation(t *testing.T) {
 	m := nw.Metrics()
 	if m.MaxStepsPerNode != 5 || m.MaxMemoryWordsPerNode != 11 {
 		t.Fatalf("instrumentation not delegated: %+v", m)
+	}
+}
+
+// TestMuxFailureSurfacesAtNextRound is TestFailureSurfacesAtNextRound for
+// the Mux barrier: once a virtual round has turned over it succeeded, even
+// if a sibling instance crashes in the next round before a waiter has
+// reacquired the Mux lock.
+func TestMuxFailureSurfacesAtNextRound(t *testing.T) {
+	const rounds, runs = 4, 1000
+	var early atomic.Int32
+	for i := 0; i < runs; i++ {
+		nw, err := New(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = nw.Run(func(nd *Node) error {
+			return NewMux(nd).Run(map[int]func(Exchanger) error{
+				0: func(ex Exchanger) error {
+					for r := 0; r < rounds; r++ {
+						if r == 2 {
+							panic("instance 0 crashed")
+						}
+						ex.Send(0, Packet{0})
+						if _, err := ex.Exchange(); err != nil {
+							return err
+						}
+					}
+					return nil
+				},
+				1: func(ex Exchanger) error {
+					for r := 0; r < rounds; r++ {
+						ex.Send(0, Packet{1})
+						if _, err := ex.Exchange(); err != nil {
+							if r < 2 {
+								early.Add(1)
+							}
+							return err
+						}
+					}
+					return nil
+				},
+			})
+		})
+		nw.Close()
+		if err == nil {
+			t.Fatalf("run %d: the instance crash did not fail the run", i)
+		}
+	}
+	if k := early.Load(); k > 0 {
+		t.Fatalf("%d Exchange calls before round 2 reported the round-2 crash in %d runs", k, runs)
 	}
 }

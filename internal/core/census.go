@@ -53,7 +53,7 @@ import (
 // with the inbox of round r-1, and the verdict check reads the inbox of the
 // last census round. The step executors (sparse_route.go, sparse_sort.go)
 // call it from their own steps; the blocking pipeline and small-domain arms
-// run it through driveCensus over ExchangeFlat. Both schedulers therefore
+// run it through driveCensus over Exchange. Both schedulers therefore
 // put the same words on the same edges in the same rounds and fail with the
 // same errors.
 
@@ -89,9 +89,9 @@ func routeStrategyFromCensus(n, total, maxPairMult, activeSources, relayRounds i
 }
 
 // driveCensus runs a census on the blocking scheduler: rounds exchanges over
-// ExchangeFlat, each preceded by that round's step, then the verdict check
+// Exchange, each preceded by that round's step, then the verdict check
 // on the last inbox. label prefixes engine failures of the exchanges.
-func driveCensus(ex clique.FlatExchanger, label string, rounds int,
+func driveCensus(ex clique.Exchanger, label string, rounds int,
 	step func(round int, inbox clique.FlatInbox) error, verify func(inbox clique.FlatInbox) error) error {
 	var inbox clique.FlatInbox
 	for round := 0; round < rounds; round++ {
@@ -99,7 +99,7 @@ func driveCensus(ex clique.FlatExchanger, label string, rounds int,
 			return err
 		}
 		var err error
-		if inbox, err = ex.ExchangeFlat(); err != nil {
+		if inbox, err = ex.Exchange(); err != nil {
 			return fmt.Errorf("%s: %w", label, err)
 		}
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // flatOf encodes a per-sender packet list as the engine's FlatInbox.
-func flatOf(in clique.Inbox) clique.FlatInbox {
+func flatOf(in [][]clique.Packet) clique.FlatInbox {
 	var flat clique.FlatInbox
 	for from, ps := range in {
 		for _, p := range ps {
@@ -33,7 +33,7 @@ func TestFlatCensusDecodeMatchesDense(t *testing.T) {
 	for trial := 0; trial < 3000; trial++ {
 		n := 1 + rng.Intn(6)
 		width := 2 + rng.Intn(3)
-		in := make(clique.Inbox, n)
+		in := make([][]clique.Packet, n)
 		for from := range in {
 			k := 1
 			if rng.Intn(4) == 0 {
@@ -81,22 +81,22 @@ func TestFlatCensusDecodeMatchesDense(t *testing.T) {
 		}
 	}
 
-	err := routeCensusStep(&clique.Node{}, &RoutePlan{N: 3}, routeRow{}, 2, flatOf(clique.Inbox{{{1, 2, 3, 4}}, nil, {{1, 2, 3, 4}}}))
+	err := routeCensusStep(&clique.Node{}, &RoutePlan{N: 3}, routeRow{}, 2, flatOf([][]clique.Packet{{{1, 2, 3, 4}}, nil, {{1, 2, 3, 4}}}))
 	if want := "core: census: node 0 missing aggregate from node 1"; err == nil || err.Error() != want {
 		t.Errorf("route census error %v, want %q", err, want)
 	}
 	sortPlan := &SortPlan{N: 3}
-	err = sortCensusStep(&clique.Node{}, sortPlan, nil, 1, flatOf(clique.Inbox{{{1, 2}}, {{1, 2}, {3, 4}}, {{1, 2}}}))
+	err = sortCensusStep(&clique.Node{}, sortPlan, nil, 1, flatOf([][]clique.Packet{{{1, 2}}, {{1, 2}, {3, 4}}, {{1, 2}}}))
 	if want := "core: sort census: node 0 missing aggregate from node 1"; err == nil || err.Error() != want {
 		t.Errorf("sort census error %v, want %q", err, want)
 	}
-	err = sortCensusVerify(0, sortPlan, flatOf(clique.Inbox{{{1, 2}, {1, 2}}}))
+	err = sortCensusVerify(0, sortPlan, flatOf([][]clique.Packet{{{1, 2}, {1, 2}}}))
 	if want := "core: sort census: node 0 missing verdict broadcast"; err == nil || err.Error() != want {
 		t.Errorf("sort verdict error %v, want %q", err, want)
 	}
 }
 
-// TestBlockingCensusMismatch drives the census over ExchangeFlat on the
+// TestBlockingCensusMismatch drives the census over Exchange on the
 // blocking arms — the route pipeline and the small-domain sort — with a
 // tampered plan, and pins the exact errors the census returned when it was
 // written against Exchange: node 0's diagnosis wins, naming the wire

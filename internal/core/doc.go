@@ -47,10 +47,12 @@
 // algorithmic change — the stats_invariants tests in the root package pin
 // this against goldens captured from the per-parcel implementation.
 //
-// On physical nodes the receive side uses the engine's flat inbox
-// (clique.Node.ExchangeFlat): delivery hands the round's traffic as raw
-// [from, len, payload...] records which comm.exchange decodes in one sweep.
-// Virtual nodes (clique.Mux instances) fall back to the boxed Inbox path.
+// The receive side is the engine's flat inbox (clique.Exchanger.Exchange):
+// delivery hands the round's traffic as raw [from, len, payload...] records
+// which comm.exchange decodes in one sweep. On a Mux instance running
+// directly on the engine the records are shared by every instance on the
+// node, so comm.exchange skips records whose leading tag word is not its
+// instance's (clique.FrameTagger).
 //
 // # Arena ownership and lifetime rules
 //

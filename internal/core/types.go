@@ -178,12 +178,6 @@ type comm struct {
 	me      int // local index of this node, or -1 if it is not a member
 	label   string
 
-	// flatEx is non-nil when ex supports the flat receive path (both the
-	// physical node and the Mux's virtual nodes do): delivery hands this comm
-	// raw [from, len, payload...] records instead of assembling an Inbox.
-	// Exchangers without the capability fall back to the boxed path.
-	flatEx clique.FlatExchanger
-
 	// tagEx is non-nil when ex is a passthrough virtual node: frames are
 	// staged with frameTag as their leading word and handed over zero-copy via
 	// SendTagged, and received flat records are shared by all instances on the
@@ -358,13 +352,11 @@ func newComm(ex clique.Exchanger, label string, members []int) (*comm, error) {
 	if idx := scratch.local[ex.ID()]; idx >= 0 {
 		me = int(idx)
 	}
-	nd, _ := ex.(clique.FlatExchanger)
 	c := &comm{
 		ex:          ex,
 		members:     members,
 		me:          me,
 		label:       label,
-		flatEx:      nd,
 		commScratch: scratch,
 	}
 	if ft, ok := ex.(clique.FrameTagger); ok {
@@ -558,81 +550,62 @@ func (c *comm) exchange() (*rxBuf, error) {
 		rx.start = rx.start[:c.size()+1]
 	}
 
-	if nd := c.flatEx; nd != nil {
-		// Flat path: decode the raw [from, len, payload...] records the
-		// deliverer wrote into the receive arena. Records arrive in
-		// ascending sender order, so the per-sender index is built in the
-		// same sweep. On a tagged exchanger the inbox is shared by every
-		// instance on the node: records of other instances are skipped by
-		// tag, and this instance's records carry the tag as their first
-		// payload word.
-		flat, err := nd.ExchangeFlat()
-		if err != nil {
-			return nil, fmt.Errorf("core: instance %q exchange: %w", c.label, err)
-		}
-		tagged := c.tagEx != nil
-		cur := 0
-		for i := 0; i < len(flat); {
-			if i+2 > len(flat) {
-				return nil, fmt.Errorf("core: instance %q: truncated flat record", c.label)
-			}
-			from := int(flat[i])
-			l := int(flat[i+1])
-			if l < 0 || i+2+l > len(flat) {
-				return nil, fmt.Errorf("core: instance %q: malformed flat record", c.label)
-			}
-			frame := clique.Packet(flat[i+2 : i+2+l : i+2+l])
-			i += 2 + l
-			if tagged {
-				if l < 1 || frame[0] != c.frameTag {
-					continue // another instance's record
-				}
-				frame = frame[1:]
-				l--
-			}
-			if from < 0 || from >= len(c.local) {
-				return nil, fmt.Errorf("core: instance %q: flat record from invalid node %d", c.label, from)
-			}
-			li := int(c.local[from])
-			if li < 0 {
-				continue // sender is not a member of this instance
-			}
-			for cur <= li {
-				rx.start[cur] = int32(len(rx.msgs))
-				cur++
-			}
-			// The single-message frame layout [1, len, words...] is by far the
-			// most common (relay schedules spread to one message per edge), so
-			// decode it without the general frame walk.
-			if l >= 2 && frame[0] == 1 && int(frame[1]) == l-2 {
-				rx.msgs = append(rx.msgs, frame[2:l:l])
-				continue
-			}
-			rx.msgs, err = appendFrameMessages(rx.msgs, frame)
-			if err != nil {
-				return nil, fmt.Errorf("core: instance %q: %w", c.label, err)
-			}
-		}
-		for ; cur <= c.size(); cur++ {
-			rx.start[cur] = int32(len(rx.msgs))
-		}
-		return rx, nil
-	}
-
-	inbox, err := c.ex.Exchange()
+	// Decode the raw [from, len, payload...] records the deliverer wrote
+	// into the receive arena. Records arrive in ascending sender order, so
+	// the per-sender index is built in the same sweep. On a tagged
+	// exchanger the inbox is shared by every instance on the node: records
+	// of other instances are skipped by tag, and this instance's records
+	// carry the tag as their first payload word.
+	flat, err := c.ex.Exchange()
 	if err != nil {
 		return nil, fmt.Errorf("core: instance %q exchange: %w", c.label, err)
 	}
-	for li, g := range c.members {
-		rx.start[li] = int32(len(rx.msgs))
-		for _, p := range inbox.From(g) {
-			rx.msgs, err = appendFrameMessages(rx.msgs, p)
-			if err != nil {
-				return nil, fmt.Errorf("core: instance %q: %w", c.label, err)
+	tagged := c.tagEx != nil
+	cur := 0
+	for i := 0; i < len(flat); {
+		if i+2 > len(flat) {
+			return nil, fmt.Errorf("core: instance %q: truncated flat record", c.label)
+		}
+		from := int(flat[i])
+		l := int(flat[i+1])
+		if l < 0 || i+2+l > len(flat) {
+			return nil, fmt.Errorf("core: instance %q: malformed flat record", c.label)
+		}
+		frame := clique.Packet(flat[i+2 : i+2+l : i+2+l])
+		i += 2 + l
+		if tagged {
+			if l < 1 || frame[0] != c.frameTag {
+				continue // another instance's record
 			}
+			frame = frame[1:]
+			l--
+		}
+		if from < 0 || from >= len(c.local) {
+			return nil, fmt.Errorf("core: instance %q: flat record from invalid node %d", c.label, from)
+		}
+		li := int(c.local[from])
+		if li < 0 {
+			continue // sender is not a member of this instance
+		}
+		for cur <= li {
+			rx.start[cur] = int32(len(rx.msgs))
+			cur++
+		}
+		// The single-message frame layout [1, len, words...] is by far the
+		// most common (relay schedules spread to one message per edge), so
+		// decode it without the general frame walk.
+		if l >= 2 && frame[0] == 1 && int(frame[1]) == l-2 {
+			rx.msgs = append(rx.msgs, frame[2:l:l])
+			continue
+		}
+		rx.msgs, err = appendFrameMessages(rx.msgs, frame)
+		if err != nil {
+			return nil, fmt.Errorf("core: instance %q: %w", c.label, err)
 		}
 	}
-	rx.start[c.size()] = int32(len(rx.msgs))
+	for ; cur <= c.size(); cur++ {
+		rx.start[cur] = int32(len(rx.msgs))
+	}
 	return rx, nil
 }
 
